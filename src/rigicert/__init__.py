@@ -25,7 +25,6 @@ from .graph import (
 from .rigidity import (
     CensusResult,
     SurgerySpec,
-    basic_census,
     enumerate_laman,
     is_basic,
     is_contractible,
@@ -65,7 +64,6 @@ __all__ = [
     "separation_pairs",
     "CensusResult",
     "SurgerySpec",
-    "basic_census",
     "enumerate_laman",
     "is_basic",
     "is_contractible",

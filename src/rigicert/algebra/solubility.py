@@ -23,7 +23,7 @@ from functools import lru_cache
 from typing import Iterator, Sequence
 
 from ..errors import InputError
-from .unipoly import UniPoly, degree_multiset_mod, factor_over_q, primes_up_to
+from .unipoly import UniPoly, degree_multiset_mod, factor_over_q, is_prime, primes_up_to
 
 Permutation = tuple[int, ...]
 
@@ -144,20 +144,9 @@ def soluble_cycle_types(degree: int) -> frozenset[tuple[int, ...]]:
     return frozenset(types)
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def _is_prime_power(n: int) -> bool:
     for p in range(2, n + 1):
-        if _is_prime(p):
+        if is_prime(p):
             m = n
             while m % p == 0:
                 m //= p
@@ -184,7 +173,7 @@ def _rule_hit(multiset: tuple[int, ...], n: int) -> str | None:
     nontrivial = [d for d in multiset if d > 1]
     if len(nontrivial) == 1:
         p = nontrivial[0]
-        if _is_prime(p) and 2 * p > n and p <= n - 3:
+        if is_prime(p) and 2 * p > n and p <= n - 3:
             return RULE_JORDAN
     if nontrivial == [n - 1] and not _is_prime_power(n):
         return RULE_BURNSIDE

@@ -533,7 +533,7 @@ def _choose_factoring_prime(f: UniPoly) -> tuple[int, list[list[int]]]:
 def _prime_stream(start: int):
     q = start
     while True:
-        if all(q % d for d in range(2, math.isqrt(q) + 1)):
+        if is_prime(q):
             yield q
         q += 2
 
@@ -606,6 +606,11 @@ def is_irreducible(p: UniPoly) -> bool:
         return False
     factors = factor_over_q(p)
     return len(factors) == 1 and factors[0][1] == 1
+
+
+def is_prime(n: int) -> bool:
+    """Trial division; for single numbers, where a sieve would waste work."""
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
 def primes_up_to(bound: int) -> list[int]:

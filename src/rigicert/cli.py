@@ -1,6 +1,7 @@
 """Command-line interface: deterministic JSON reports over the library.
 
-Exit codes: 0 success, 1 parse failure, 2 precondition failure.  Reports
+Exit codes: 0 success, 1 parse failure, 2 precondition failure, 3 internal
+invariant failure (a bug, reported as one line on stderr).  Reports
 serialize with sorted keys so that byte-identical output (minus the timing
 field) can be snapshot-tested.
 """
@@ -29,9 +30,9 @@ from .decomposition import (
     qs_classify,
     reduce_to_terminal,
 )
-from .errors import InputError, ParseError
+from .errors import InputError, InternalInvariantError, ParseError
 from .graph import Block, Graph, format_graph, freedom_number, is_m_connected, is_planar, parse_graph
-from .rigidity import basic_census, is_basic, is_independent, is_laman
+from .rigidity import enumerate_laman, is_basic, is_independent, is_laman
 
 
 def _edge_list(edges) -> list[list[int]]:
@@ -127,7 +128,7 @@ def cmd_check(args) -> dict:
 
 
 def cmd_census(args) -> dict:
-    census = basic_census(args.n)
+    census = enumerate_laman(args.n)
     return {
         "n": census.vertex_count,
         "laman_count": census.laman_count,
@@ -225,9 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="rigicert",
         description="Laman rigidity analysis and radical-solubility certificates",
     )
-    parser.add_argument(
-        "--json", action="store_true", help="compact JSON report (the default)"
-    )
     parser.add_argument("--pretty", action="store_true", help="indent the JSON report")
     parser.add_argument(
         "--tol", type=float, default=1e-9, help="numeric tolerance for embedding checks"
@@ -282,7 +280,7 @@ def main(argv: list[str] | None = None) -> int:
     inputs = {
         k: v
         for k, v in vars(args).items()
-        if k not in ("handler", "command", "pretty", "json") and v is not None
+        if k not in ("handler", "command", "pretty") and v is not None
     }
     start = time.perf_counter()
     try:
@@ -293,6 +291,9 @@ def main(argv: list[str] | None = None) -> int:
     except InputError as exc:
         print(f"precondition failed: {exc}", file=sys.stderr)
         return 2
+    except InternalInvariantError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     print(render_report(args.command, inputs, result, elapsed_ms, args.pretty))
     return 0

@@ -2,9 +2,11 @@
 classifier, and the reduction engine that drives every 3-connected non-basic
 Laman graph down to a basic graph or the doublet.
 
-Two different decompositions coexist deliberately.  `decompose_unique` keeps
-redundant virtual edges (connectivity bookkeeping for the reduction engine);
-`qs_classify` re-examines freedom-0 blocks as plain Laman graphs and never
+Two different decompositions coexist deliberately.  Both cut a block at a
+separation pair through `_split_block`, and they differ in one place only:
+`decompose_unique` keeps redundant virtual edges (connectivity bookkeeping for
+the reduction engine), while `qs_classify` recurses on `Block.core()` of each
+part, so it re-examines freedom-0 parts as plain Laman graphs and never
 records a redundant edge.  Conflating them misclassifies blocks such as
 K4-minus-an-edge, which is quadratically soluble yet 3-connected once its
 redundant edge is included.
@@ -25,13 +27,12 @@ from .graph import (
     SeparationEvent,
     SeparationPair,
     canonical_form,
-    connected_components,
     contract_edge,
     edge,
     freedom_number,
-    induced_subgraph,
     is_m_connected,
     is_planar,
+    separation_blocks,
     separation_pairs,
 )
 from .rigidity import (
@@ -57,26 +58,14 @@ def _block_separation_pairs(b: Block) -> list[SeparationPair]:
 def _split_block(b: Block, pair: SeparationPair) -> tuple[list[Block], SeparationEvent]:
     """One separation: re-close components over the pair and add the virtual
     edge, marking it redundant where the core already has freedom 0."""
-    a, c = pair.pair
     g = b.subgraph
-    pair_edge = (a, c)
-    if pair_edge in b.virtual_edges:
-        raise InternalInvariantError(
-            "separation pair coincides with a virtual edge; "
-            "a separation pair should never be reused"
-        )
-    rest = induced_subgraph(g, g.vertices - {a, c})
-    comps = connected_components(rest)
-    if len(comps) < 2:
-        raise InputError(f"pair {pair.pair} does not separate the block")
+    pair_edge = pair.pair
     had_edge = pair_edge in g.edges
     parts: list[Block] = []
     freedoms: list[int] = []
-    for comp in sorted(comps, key=sorted):
-        w = comp | {a, c}
-        sub = induced_subgraph(g, w)
-        virt = frozenset(e for e in b.virtual_edges if e in sub.edges)
-        red = frozenset(e for e in b.redundant_flags if e in sub.edges)
+    for sub in separation_blocks(g, pair):
+        virt = b.virtual_edges & sub.edges
+        red = b.redundant_flags & sub.edges
         core_free = freedom_number(sub.without_edges(red))
         freedoms.append(core_free)
         if had_edge:
@@ -86,7 +75,7 @@ def _split_block(b: Block, pair: SeparationPair) -> tuple[list[Block], Separatio
             new_virt = virt | {pair_edge}
             new_red = red | ({pair_edge} if core_free == 0 else frozenset())
             parts.append(Block(new_sub, new_virt, new_red))
-    _assert_freedom_pattern(had_edge, freedoms, pair.pair)
+    _assert_freedom_pattern(had_edge, freedoms, pair_edge)
     event = SeparationEvent(pair_edge, g.vertices, tuple(freedoms), had_edge)
     return parts, event
 
@@ -133,6 +122,11 @@ def decompose_unique(g: Graph, rng: random.Random | None = None) -> BlockDecompo
         if chosen is None:
             done.append(b)
             continue
+        if chosen.pair in b.virtual_edges:
+            raise InternalInvariantError(
+                "separation pair coincides with a virtual edge; "
+                "a separation pair should never be reused"
+            )
         parts, event = _split_block(b, chosen)
         history.append(chosen)
         events.append(event)
@@ -172,36 +166,18 @@ def qs_classify(g: Graph) -> QSClassification:
         raise InputError("QS classification is defined for Laman graphs")
     witnesses: list[Block] = []
 
-    def recurse(h: Graph, virt: frozenset[Edge]) -> None:
-        if h.n == 3 and h.e == 3:
+    def recurse(b: Block) -> None:
+        if b.is_triangle():
             return
-        pairs = separation_pairs(h) if h.n >= 4 else []
+        pairs = _block_separation_pairs(b)
         if not pairs:
-            witnesses.append(Block(h, virt & h.edges))
+            witnesses.append(b)
             return
-        a, c = pairs[0].pair
-        pair_edge = (a, c)
-        rest = induced_subgraph(h, h.vertices - {a, c})
-        had_edge = pair_edge in h.edges
-        for comp in sorted(connected_components(rest), key=sorted):
-            sub = induced_subgraph(h, comp | {a, c})
-            f = freedom_number(sub)
-            if had_edge:
-                if f != 0:
-                    raise InternalInvariantError(
-                        f"separation with edge present gave freedom {f}"
-                    )
-                recurse(sub, virt & sub.edges)
-            elif f == 0:
-                recurse(sub, virt & sub.edges)
-            elif f == 1:
-                recurse(sub.with_edges([pair_edge]), (virt & sub.edges) | {pair_edge})
-            else:
-                raise InternalInvariantError(
-                    f"separation of a Laman graph produced freedom {f}"
-                )
+        parts, _ = _split_block(b, pairs[0])
+        for part in parts:
+            recurse(Block(part.core(), part.virtual_edges - part.redundant_flags))
 
-    recurse(g, frozenset())
+    recurse(Block(g))
     if not witnesses:
         verdict = Verdict.QS
     elif any(is_planar(b.subgraph) for b in witnesses):

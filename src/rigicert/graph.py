@@ -187,8 +187,13 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
     return Graph(vs, es)
 
 
-def connected_components(g: Graph) -> list[frozenset[int]]:
-    seen: set[int] = set()
+def connected_components(g: Graph, removed: Iterable[int] = ()) -> list[frozenset[int]]:
+    """The components of G - removed, in ascending order of their least vertex.
+
+    Walks the adjacency of g itself, so no induced subgraph is built; every
+    vertex-cut question in the package is answered here.
+    """
+    seen = set(removed)
     comps: list[frozenset[int]] = []
     for start in g.sorted_vertices():
         if start in seen:
@@ -198,8 +203,8 @@ def connected_components(g: Graph) -> list[frozenset[int]]:
         seen.add(start)
         while stack:
             v = stack.pop()
-            for w in g.neighbors(v):
-                if w not in comp:
+            for w in g._adj[v]:
+                if w not in seen:
                     comp.add(w)
                     seen.add(w)
                     stack.append(w)
@@ -212,10 +217,9 @@ def is_connected(g: Graph) -> bool:
 
 
 def _separates(g: Graph, removed: set[int]) -> bool:
-    rest = g.vertices - removed
-    if len(rest) < 2:
+    if g.n - len(removed) < 2:
         return False
-    return len(connected_components(induced_subgraph(g, rest))) > 1
+    return len(connected_components(g, removed)) > 1
 
 
 def is_m_connected(g: Graph, m: int) -> bool:
@@ -244,12 +248,12 @@ def separation_pairs(g: Graph) -> list[SeparationPair]:
 
 
 def separation_blocks(g: Graph, pair: SeparationPair) -> list[Graph]:
-    """The components of G - {a,b}, each re-closed over the pair."""
+    """The components of G - {a,b}, each re-closed over the pair, in ascending
+    order of the component's least vertex."""
     a, b = pair.pair
     if a not in g.vertices or b not in g.vertices:
         raise InputError(f"pair {pair.pair} not in the vertex set")
-    rest = induced_subgraph(g, g.vertices - {a, b})
-    comps = connected_components(rest)
+    comps = connected_components(g, pair.pair)
     if len(comps) < 2:
         raise InputError(f"pair {pair.pair} does not separate the graph")
     return [induced_subgraph(g, comp | {a, b}) for comp in comps]
@@ -332,12 +336,6 @@ def canonical_form(g: Graph) -> bytes:
     assert best is not None
     width = max(1, (total_bits + 3) // 4)
     return f"{n}:{best:0{width}x}".encode()
-
-
-def are_isomorphic(g: Graph, h: Graph) -> bool:
-    if g.n != h.n or g.e != h.e:
-        return False
-    return canonical_form(g) == canonical_form(h)
 
 
 def _disjoint_paths_exist(

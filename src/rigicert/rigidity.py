@@ -331,14 +331,3 @@ def enumerate_laman_exhaustive(n: int) -> set[bytes]:
         if is_independent_exhaustive(g):
             found.add(canonical_form(g))
     return found
-
-
-def basic_census(n: int) -> CensusResult:
-    """The Laman census filtered down to basic graphs."""
-    census = enumerate_laman(n)
-    return CensusResult(
-        n,
-        census.laman_canonical_forms,
-        census.basic_canonical_forms,
-        census.representatives,
-    )

@@ -1,6 +1,8 @@
 import json
 
+from rigicert import cli
 from rigicert.cli import main
+from rigicert.errors import InternalInvariantError
 from rigicert.graph import format_graph
 
 from conftest import g5, k4, k33, prism, triangle
@@ -64,6 +66,16 @@ def test_precondition_exit_code(tmp_path, capsys):
     assert code == 2
     code, _, _ = run_cli(capsys, "census", "11")
     assert code == 2
+
+
+def test_internal_error_exit_code(tmp_path, capsys, monkeypatch):
+    def broken(args):
+        raise InternalInvariantError("invariant broke")
+
+    monkeypatch.setattr(cli, "cmd_check", broken)
+    code, out, err = run_cli(capsys, "check", write_graph(tmp_path, k33()))
+    assert code == 3 and out == ""
+    assert err == "internal error: invariant broke\n"
 
 
 def test_census_counts(capsys):

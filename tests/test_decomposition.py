@@ -13,7 +13,7 @@ from rigicert.decomposition import (
     reduce_to_terminal,
 )
 from rigicert.errors import InputError
-from rigicert.graph import Graph, canonical_form, is_m_connected
+from rigicert.graph import Graph, canonical_form, is_m_connected, parse_graph
 from rigicert.rigidity import is_basic, is_laman
 
 from conftest import four_cycle, g5, k4, k4_minus_edge, k33, prism, triangle
@@ -107,6 +107,39 @@ def test_qs_classify_examples():
 
     with pytest.raises(InputError):
         qs_classify(four_cycle())
+
+
+def test_qs_classify_splits_at_a_virtual_edge():
+    # qs_classify splits at {0,1}, then the freedom-1 part {0,1,2,3,5} (which
+    # gained the virtual edge (0,1)) at {2,3}.  Its part {0,1,2,3} drops the
+    # redundant edge (2,3) and splits again at {0,1}, already a virtual edge.
+    # decompose_unique keeps (2,3) there, so it never reuses a pair.
+    g = parse_graph("n 7 e 0 2 e 0 3 e 0 4 e 0 6 e 1 2 e 1 3 e 1 4 e 1 6 e 2 5 e 3 5 e 4 6")
+    c = qs_classify(g)
+    assert c.verdict == Verdict.QS and c.witness_blocks == ()
+
+    d = decompose_unique(g)
+    assert [p.pair for p in d.separation_history] == [(0, 1), (2, 3)]
+    blocks = [
+        (sorted(b.subgraph.vertices), sorted(b.virtual_edges), sorted(b.redundant_flags))
+        for b in d.blocks
+    ]
+    assert blocks == [
+        ([0, 1, 2, 3], [(0, 1), (2, 3)], [(2, 3)]),
+        ([0, 1, 4, 6], [(0, 1)], [(0, 1)]),
+        ([2, 3, 5], [(2, 3)], []),
+    ]
+
+
+def test_qs_classify_census_verdict_counts(census_by_n):
+    expected = {
+        7: {"QS": 62, "NOT_RS_PROVEN_PLANAR": 5, "NOT_RS_CONJECTURED": 3},
+        8: {"QS": 511, "NOT_RS_PROVEN_PLANAR": 60, "NOT_RS_CONJECTURED": 37},
+    }
+    for n, counts in expected.items():
+        verdicts = [qs_classify(g).verdict.value for g in census_by_n[n].representatives]
+        assert {v: verdicts.count(v) for v in counts} == counts
+        assert len(verdicts) == sum(counts.values())
 
 
 def test_qs_classify_henneberg_one_graphs():

@@ -105,6 +105,17 @@ def test_is_m_connected_against_bruteforce():
                 for rem in itertools.combinations(g.vertices, m - 1)
             )
             assert is_m_connected(g, m) == brute
+        if g.n >= 4 and len(connected_components(g)) == 1:
+            brute_pairs = [
+                pair
+                for pair in itertools.combinations(g.sorted_vertices(), 2)
+                if _separates_brute(g, set(pair))
+            ]
+            assert [p.pair for p in separation_pairs(g)] == brute_pairs
+        for k in range(min(3, g.n) + 1):
+            for removed in itertools.combinations(g.sorted_vertices(), k):
+                rest = induced_subgraph(g, g.vertices - set(removed))
+                assert connected_components(g, removed) == connected_components(rest)
 
 
 def _separates_brute(g: Graph, removed: set[int]) -> bool:

@@ -9,7 +9,6 @@ from rigicert.rigidity import (
     SurgerySpec,
     enumerate_laman,
     enumerate_laman_exhaustive,
-    basic_census,
     fan_edges,
     henneberg_children,
     internal_vertices,
@@ -212,7 +211,7 @@ def test_basic_census_range_errors():
     with pytest.raises(UnsupportedSizeError):
         enumerate_laman(2)
     with pytest.raises(UnsupportedSizeError):
-        basic_census(9)
+        enumerate_laman(9)
 
 
 def test_corollary_three_connected_nonplanar(census_by_n):

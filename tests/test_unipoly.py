@@ -12,6 +12,7 @@ from rigicert.algebra.unipoly import (
     gf_from_int,
     gf_monic,
     is_irreducible,
+    is_prime,
     poly_gcd,
     primes_up_to,
     squarefree_decomposition,
@@ -200,3 +201,4 @@ def test_gf_factor_squarefree_products():
 def test_primes_up_to():
     assert primes_up_to(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert primes_up_to(1) == []
+    assert [q for q in range(-2, 1000) if is_prime(q)] == primes_up_to(999)
