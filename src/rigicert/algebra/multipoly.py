@@ -316,26 +316,3 @@ def resultant(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
             if d_last > 1:
                 numerator = numerator.divexact(h_prev ** (d_last - 1))
             return numerator if sign == 1 else -numerator
-
-
-def sylvester_matrix(f: MultiPoly, g: MultiPoly, var: str) -> list[list[MultiPoly]]:
-    """The (deg f + deg g) Sylvester matrix, f-rows first (test oracle support)."""
-    a = _strip(f.coefficients_in(var))
-    b = _strip(g.coefficients_in(var))
-    da, db = len(a) - 1, len(b) - 1
-    if da < 1 and db < 1:
-        raise DegenerateInputError(f"neither polynomial involves {var!r}")
-    n = da + db
-    zero = MultiPoly.zero(f.variables)
-    rows = []
-    for i in range(db):
-        row = [zero] * n
-        for j, c in enumerate(reversed(a)):
-            row[i + j] = c
-        rows.append(row)
-    for i in range(da):
-        row = [zero] * n
-        for j, c in enumerate(reversed(b)):
-            row[i + j] = c
-        rows.append(row)
-    return rows

@@ -211,28 +211,6 @@ def _sieve_reports(p: UniPoly, prime_bound: int) -> Iterator[CycleTypeReport]:
         yield CycleTypeReport(q, multiset, squarefree)
 
 
-def frobenius_cycle_types(p: UniPoly, prime_bound: int) -> tuple[list[CycleTypeReport], list[int]]:
-    """Degree multisets of p modulo every prime up to the bound.
-
-    Primes dividing the leading coefficient are skipped and returned in the
-    second list; primes where the reduction is not squarefree stay in the
-    report with the flag down (their types are not Frobenius cycle types).
-    """
-    if p.is_zero() or p.degree < 1:
-        raise InputError("cycle types need a nonconstant polynomial")
-    if poly_is_not_squarefree(p):
-        raise InputError("polynomial must be squarefree over the rationals")
-    reports = list(_sieve_reports(p, prime_bound))
-    skipped = [q for q in primes_up_to(prime_bound) if p.leading % q == 0]
-    return reports, skipped
-
-
-def poly_is_not_squarefree(p: UniPoly) -> bool:
-    from .unipoly import poly_gcd
-
-    return poly_gcd(p, p.derivative()).degree > 0
-
-
 def nonsolubility_certificate(p: UniPoly, prime_bound: int = 10000) -> SolubilityCertificate:
     """Refute solubility of the Galois group of an irreducible polynomial, or
     report INCONCLUSIVE.  Sound: never NOT_SOLUBLE for a soluble group."""

@@ -442,10 +442,6 @@ def _mod_sym(c: int, m: int) -> int:
     return c - m if 2 * c > m else c
 
 
-def _poly_mod(f: list[int], m: int) -> list[int]:
-    return gf_strip([c % m for c in f])
-
-
 def _hensel_step(m: int, f, g, h, s, t):
     """One quadratic lift: inputs satisfy f = g*h and s*g + t*h = 1 (mod m),
     h monic; outputs satisfy the same mod m**2."""
@@ -453,7 +449,7 @@ def _hensel_step(m: int, f, g, h, s, t):
     mul = lambda a, b: gf_mul(a, b, m2)
     sub = lambda a, b: gf_sub(a, b, m2)
     add = lambda a, b: gf_add(a, b, m2)
-    e = sub(_poly_mod(f, m2), mul(g, h))
+    e = sub(gf_from_int(f, m2), mul(g, h))
     q_, r_ = gf_divmod(mul(s, e), h, m2)
     g_star = add(add(g, mul(t, e)), mul(q_, g))
     h_star = add(h, r_)
@@ -495,12 +491,12 @@ def hensel_lift(p: int, target: int, f: list[int], factors: list[list[int]]) -> 
         one, s, t = gf_extended_euclid(g0, h0, p)
         if one != [1]:
             raise InternalInvariantError("factor halves are not coprime mod p")
-        g, h, m = _lift_pair(p, modulus, _poly_mod(f, modulus), g0, h0, s, t)
+        g, h, m = _lift_pair(p, modulus, gf_from_int(f, modulus), g0, h0, s, t)
         if m != modulus:
-            g, h = _poly_mod(g, modulus), _poly_mod(h, modulus)
+            g, h = gf_from_int(g, modulus), gf_from_int(h, modulus)
         return recurse(g, facs[:half]) + recurse(h, facs[half:])
 
-    return recurse(_poly_mod(f, modulus), factors), modulus
+    return recurse(gf_from_int(f, modulus), factors), modulus
 
 
 def _mignotte_bound(f: UniPoly) -> int:
@@ -516,8 +512,6 @@ def _choose_factoring_prime(f: UniPoly) -> tuple[int, list[list[int]]]:
         if f.leading % q == 0:
             continue
         fq = gf_from_int(f.coeffs, q)
-        if len(fq) != len(f.coeffs):
-            continue
         if len(gf_gcd(fq, gf_derivative(fq, q), q)) != 1:
             continue
         rng = random.Random(q)

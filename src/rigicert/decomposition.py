@@ -66,7 +66,7 @@ def _split_block(b: Block, pair: SeparationPair) -> tuple[list[Block], Separatio
     for sub in separation_blocks(g, pair):
         virt = b.virtual_edges & sub.edges
         red = b.redundant_flags & sub.edges
-        core_free = freedom_number(sub.without_edges(red))
+        core_free = freedom_number(sub) + len(red)
         freedoms.append(core_free)
         if had_edge:
             parts.append(Block(sub, virt, red))
@@ -120,6 +120,9 @@ def decompose_unique(g: Graph, rng: random.Random | None = None) -> BlockDecompo
             pairs = _block_separation_pairs(b)
             chosen = rng.choice(pairs) if pairs else None
         if chosen is None:
+            # With no separation pair a block of 4 or more vertices is 3-connected.
+            if b.subgraph.n < 4 and not b.is_triangle():
+                raise InternalInvariantError("final block is neither a 3-cycle nor 3-connected")
             done.append(b)
             continue
         if chosen.pair in b.virtual_edges:
@@ -132,8 +135,6 @@ def decompose_unique(g: Graph, rng: random.Random | None = None) -> BlockDecompo
         events.append(event)
         work.extend(parts)
     for b in done:
-        if not (b.is_triangle() or is_m_connected(b.subgraph, 3)):
-            raise InternalInvariantError("final block is neither a 3-cycle nor 3-connected")
         if not is_laman(b.core()):
             raise InternalInvariantError("final block core is not maximally independent")
     if done and not any(not b.redundant_flags for b in done):
@@ -224,14 +225,6 @@ def _require(cond: bool, message: str) -> None:
         raise InputError(message)
 
 
-def _check_no_internal_mi(g: Graph, context: str) -> None:
-    for w in mi_proper_subgraphs(g):
-        if internal_vertices(g, w):
-            raise InternalInvariantError(
-                f"{context}: maximally independent proper subgraph {sorted(w)} has an internal vertex"
-            )
-
-
 def reduce_step(g: Graph) -> tuple[list[Graph], list[StepRecord]]:
     """One round of the reduction: surgery, then either a connectivity-safe
     contraction or a contraction followed by a block split.
@@ -245,7 +238,7 @@ def reduce_step(g: Graph) -> tuple[list[Graph], list[StepRecord]]:
     _require(not is_basic(g), "reduce_step requires a non-basic graph (already terminal)")
     _require(g.n > 6, "reduce_step requires more than 6 vertices (doublet is terminal)")
 
-    r = maximal_mi_subgraph(g, prefer_internal=True)
+    r = maximal_mi_subgraph(g)
     if r is None:
         raise InternalInvariantError("non-basic graph has no maximally independent proper subgraph")
     spec = make_surgery_spec(g, r)
@@ -263,7 +256,9 @@ def reduce_step(g: Graph) -> tuple[list[Graph], list[StepRecord]]:
 
     # No candidate had an internal vertex, so the surgered graph has none
     # either; the contraction case split below relies on that, so check it.
-    _check_no_internal_mi(h, "after surgery")
+    for w in mi_proper_subgraphs(h):
+        if internal_vertices(h, w):
+            raise InternalInvariantError(f"after surgery: MI subgraph {sorted(w)} has an internal vertex")
 
     cycle = spec.attachment_vertices
     cycle_edges = sorted(

@@ -1,15 +1,18 @@
-"""Laman-graph predicates, subgraph surgery, and exhaustive small-order censuses.
+"""Laman predicates, maximally independent subgraphs, surgery, Henneberg census.
 
-The fast independence test is a (2,3) pebble game; an exhaustive subgraph
-oracle is kept alongside for cross-checks at small orders.  All operations are
-pure functions over immutable graphs.
+One (2,3) pebble game decides independence; restarted with one vertex's edges
+released, it finds the rigid components of G - x, which answer every maximally
+independent (MI) proper subgraph question without enumerating vertex subsets.
+All operations are pure functions over immutable graphs.
 """
 
 from __future__ import annotations
 
+import copy
 import itertools
 import random
 from dataclasses import dataclass
+from typing import Iterator
 
 from .errors import InputError, InternalInvariantError, UnsupportedSizeError
 from .graph import (
@@ -24,104 +27,98 @@ from .graph import (
 )
 
 
-def _pebble_accepts(g: Graph, edges: list[Edge]) -> bool:
-    """Run the (2,3) pebble game, inserting `edges` in order.
+class _PebbleGame:
+    """The (2,3) pebble game (Jacobs & Hendrickson 1997; Lee & Streinu 2008) after
+    inserting G's edges in ascending order.  Each vertex owns two pebbles, free or
+    covering an edge that then points away from it; `independent` turns False,
+    ending the game, at the first edge that cannot gather 4 pebbles."""
 
-    Returns False as soon as an edge cannot gather 4 pebbles on its endpoints,
-    i.e. the edge set is not (2,3)-sparse.
-    """
-    pebbles = {v: 2 for v in g.vertices}
-    out: dict[int, set[int]] = {v: set() for v in g.vertices}
+    def __init__(self, g: Graph):
+        self.pebbles = {v: 2 for v in g.vertices}
+        self.out: dict[int, set[int]] = {v: set() for v in g.vertices}
+        self.independent = True
+        for u, v in g.sorted_edges():
+            if not self.gather(u, v, 4):
+                self.independent = False
+                return
+            self.pebbles[u] -= 1
+            self.out[u].add(v)
 
-    def take_pebble(root: int, protected: tuple[int, int]) -> bool:
+    def without_vertex(self, x: int) -> _PebbleGame:
+        """The game on G - x: x's edges removed, their pebbles back with their owners."""
+        game = copy.copy(self)
+        game.pebbles = {v: p + (x in self.out[v]) for v, p in self.pebbles.items()}
+        game.out = {v: heads - {x} for v, heads in self.out.items()}
+        game.pebbles[x], game.out[x] = 2, set()
+        return game
+
+    def _take_pebble(self, root: int, protected: tuple[int, int]) -> bool:
         # DFS along the orientation for a vertex with a spare pebble; reverse
-        # the path to bring the pebble to `root`.  Ascending-label tie-break.
-        seen = {root}
-        parent: dict[int, int] = {}
+        # the path to bring the pebble to `root`.
+        parent = {root: root}
         stack = [root]
-        found = None
         while stack:
             v = stack.pop()
-            if v != root and pebbles[v] > 0 and v not in protected:
-                found = v
-                break
-            for w in sorted(out[v], reverse=True):
-                if w not in seen:
-                    seen.add(w)
+            if v != root and self.pebbles[v] and v not in protected:
+                self.pebbles[v] -= 1
+                while v != root:
+                    self.out[v].add(parent[v])
+                    self.out[parent[v]].discard(v)
+                    v = parent[v]
+                self.pebbles[root] += 1
+                return True
+            for w in self.out[v]:
+                if w not in parent:
                     parent[w] = v
                     stack.append(w)
-        if found is None:
-            return False
-        v = found
-        pebbles[v] -= 1
-        while v != root:
-            p = parent[v]
-            out[v].add(p)
-            out[p].discard(v)
-            v = p
-        pebbles[root] += 1
+        return False
+
+    def gather(self, u: int, v: int, count: int) -> bool:
+        """Bring `count` free pebbles onto u and v; False if they cannot be found."""
+        while self.pebbles[u] + self.pebbles[v] < count:
+            if not self._take_pebble(u, (u, v)) and not self._take_pebble(v, (u, v)):
+                return False
         return True
 
-    for u, v in edges:
-        while pebbles[u] + pebbles[v] < 4:
-            if not take_pebble(u, (u, v)) and not take_pebble(v, (u, v)):
-                return False
-        pebbles[u] -= 1
-        out[u].add(v)
-    return True
+    def rigid_component(self, u: int, v: int) -> frozenset[int]:
+        """The rigid component holding the edge uv: with three pebbles on uv, the
+        vertices that cannot fetch a free pebble from outside uv."""
+        if not self.gather(u, v, 3):
+            raise InternalInvariantError(f"edge {(u, v)} cannot hold three pebbles")
+        loose = {w for w, p in self.pebbles.items() if p and w != u and w != v}
+        while grown := {w for w, heads in self.out.items() if w not in loose and heads & loose}:
+            loose |= grown
+        return frozenset(self.out.keys() - loose)
 
 
 def is_independent(g: Graph) -> bool:
     """True iff every subgraph on n vertices with e edges has 2n - e >= 3."""
-    return _pebble_accepts(g, g.sorted_edges())
-
-
-def is_independent_exhaustive(g: Graph) -> bool:
-    """Brute-force oracle over all vertex subsets; induced subgraphs suffice
-    because dropping edges only raises 2n - e."""
-    verts = g.sorted_vertices()
-    adj_bits = {v: 0 for v in verts}
-    index = {v: i for i, v in enumerate(verts)}
-    for u, v in g.edges:
-        adj_bits[u] |= 1 << index[v]
-        adj_bits[v] |= 1 << index[u]
-    for size in range(2, g.n + 1):
-        for subset in itertools.combinations(verts, size):
-            mask = 0
-            for v in subset:
-                mask |= 1 << index[v]
-            e_count = sum((adj_bits[v] & mask).bit_count() for v in subset) // 2
-            if 2 * size - e_count < 3:
-                return False
-    return True
+    return _PebbleGame(g).independent
 
 
 def is_laman(g: Graph) -> bool:
     return freedom_number(g) == 0 and is_independent(g)
 
 
-def _zero_freedom_proper_subsets(g: Graph):
-    """Vertex sets of proper induced subgraphs (>= 3 vertices) with freedom 0.
-
-    For an independent graph these are exactly the maximally independent
-    proper subgraphs: a non-induced subgraph with freedom 0 would force the
-    induced closure below 0.
-    """
-    verts = g.sorted_vertices()
-    for size in range(3, g.n):
-        for subset in itertools.combinations(verts, size):
-            sub = induced_subgraph(g, subset)
-            if freedom_number(sub) == 0:
-                yield frozenset(subset), sub
+def _vertex_deleted_components(g: Graph, final: _PebbleGame) -> Iterator[frozenset[int]]:
+    """For each vertex x in ascending order, the rigid components (>= 3 vertices) of
+    G - x, from G's game `final`.  G must be independent: each component then induces
+    an MI proper subgraph, and each maximal one W is a component of G - x for x not in W."""
+    for x in g.sorted_vertices():
+        game = final.without_vertex(x)
+        found: list[frozenset[int]] = []
+        for u, v in g.sorted_edges():
+            if x != u and x != v and not any(u in c and v in c for c in found):
+                comp = game.rigid_component(u, v)
+                if len(comp) >= 3:
+                    found.append(comp)
+                    yield comp
 
 
 def is_basic(g: Graph) -> bool:
     """Laman with no proper subgraph (>= 3 vertices) of freedom number 0."""
-    if not is_laman(g):
-        return False
-    for _ in _zero_freedom_proper_subsets(g):
-        return False
-    return True
+    game = _PebbleGame(g)
+    return freedom_number(g) == 0 and game.independent and not any(_vertex_deleted_components(g, game))
 
 
 def internal_vertices(g: Graph, subset: frozenset[int]) -> frozenset[int]:
@@ -135,33 +132,29 @@ def attachment_vertices(g: Graph, subset: frozenset[int]) -> list[int]:
 
 
 def mi_proper_subgraphs(g: Graph) -> list[frozenset[int]]:
-    """Vertex sets of all maximally independent proper subgraphs of a Laman graph."""
-    return [subset for subset, _ in _zero_freedom_proper_subsets(g)]
+    """Vertex sets of the containment-maximal MI proper subgraphs (>= 3
+    vertices) of an independent graph, ordered by their sorted vertex lists."""
+    game = _PebbleGame(g)
+    if not game.independent:
+        raise InputError("maximally independent subgraphs are defined for independent graphs")
+    found = set(_vertex_deleted_components(g, game))
+    return sorted((w for w in found if not any(w < other for other in found)), key=sorted)
 
 
-def maximal_mi_subgraph(g: Graph, prefer_internal: bool = True) -> Graph | None:
+def maximal_mi_subgraph(g: Graph) -> Graph | None:
     """A containment-maximal maximally independent proper subgraph, or None.
 
-    Returns None exactly when the graph is basic.  With prefer_internal, if
-    any candidate has an internal vertex the returned one does too (needed by
-    the reduction engine's surgery step).  Qualifying ties break by smallest
-    canonical form, then by vertex tuple.
+    Returns None exactly when the graph is basic.  If any MI proper subgraph
+    has an internal vertex the returned one does too (needed by the reduction
+    engine's surgery step); an internal vertex of W stays internal in every
+    superset of W.  Ties break by smallest canonical form, then vertex tuple.
     """
     if not is_laman(g):
         raise InputError("maximal MI subgraphs are defined for Laman graphs")
-    candidates = mi_proper_subgraphs(g)
-    if not candidates:
+    maximal = mi_proper_subgraphs(g)
+    if not maximal:
         return None
-    maximal = [
-        w for w in candidates
-        if not any(w < other for other in candidates)
-    ]
-    if prefer_internal and any(internal_vertices(g, w) for w in candidates):
-        maximal = [w for w in maximal if internal_vertices(g, w)]
-        if not maximal:
-            raise InternalInvariantError(
-                "an internal-vertex MI subgraph has no maximal extension with one"
-            )
+    maximal = [w for w in maximal if internal_vertices(g, w)] or maximal
     graphs = [induced_subgraph(g, w) for w in maximal]
     graphs.sort(key=lambda h: (canonical_form(h), tuple(h.sorted_vertices())))
     return graphs[0]
@@ -312,22 +305,3 @@ def enumerate_laman(n: int, rng: random.Random | None = None) -> CensusResult:
     basics = tuple(f for f, g in zip(forms, reps) if is_basic(g))
     return CensusResult(n, tuple(forms), basics, reps)
 
-
-def enumerate_laman_exhaustive(n: int) -> set[bytes]:
-    """Independent census oracle: scan every edge set of size 2n-3 directly.
-
-    Uses the exhaustive subgraph independence check, not the pebble game, so
-    the two census routes share no code path.
-    """
-    if n < 3 or n > 6:
-        raise UnsupportedSizeError("exhaustive census oracle supports 3 <= n <= 6")
-    verts = list(range(n))
-    all_edges = list(itertools.combinations(verts, 2))
-    found: set[bytes] = set()
-    for chosen in itertools.combinations(all_edges, 2 * n - 3):
-        g = Graph(verts, chosen)
-        if any(g.degree(v) == 0 for v in verts):
-            continue
-        if is_independent_exhaustive(g):
-            found.add(canonical_form(g))
-    return found

@@ -226,12 +226,9 @@ def test_contraction_block_split_instance():
     # one free of redundant edges -- the shape the reduction's block-split
     # branch consumes
     from rigicert.graph import contract_edge
-    from rigicert.rigidity import (
-        internal_vertices,
-        is_contractible,
-        mi_proper_subgraphs,
-        triangles_through,
-    )
+    from rigicert.rigidity import internal_vertices, is_contractible, triangles_through
+
+    from oracles import mi_subgraphs_exhaustive
 
     g = Graph(
         range(10),
@@ -239,7 +236,7 @@ def test_contraction_block_split_instance():
          (3, 5), (3, 7), (4, 6), (4, 9), (5, 7), (5, 9), (8, 9)],
     )
     assert is_laman(g) and is_m_connected(g, 3) and not is_basic(g)
-    assert not any(internal_vertices(g, w) for w in mi_proper_subgraphs(g))
+    assert not any(internal_vertices(g, w) for w in mi_subgraphs_exhaustive(g))
     e = (0, 1)
     assert is_contractible(g, e)
     apexes = triangles_through(g, e)

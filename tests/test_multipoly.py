@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from rigicert.algebra.multipoly import MultiPoly, resultant, sylvester_matrix
+from rigicert.algebra.multipoly import MultiPoly, resultant
 from rigicert.errors import DegenerateInputError, InputError
+
+from oracles import sylvester_matrix
 
 
 def fraction_det(matrix):

@@ -4,18 +4,24 @@ import random
 import pytest
 
 from rigicert.errors import InputError, UnsupportedSizeError
-from rigicert.graph import Graph, canonical_form, freedom_number, induced_subgraph, is_m_connected, is_planar
+from rigicert.graph import (
+    Graph,
+    canonical_form,
+    edge,
+    freedom_number,
+    induced_subgraph,
+    is_m_connected,
+    is_planar,
+)
 from rigicert.rigidity import (
     SurgerySpec,
     enumerate_laman,
-    enumerate_laman_exhaustive,
     fan_edges,
     henneberg_children,
     internal_vertices,
     is_basic,
     is_contractible,
     is_independent,
-    is_independent_exhaustive,
     is_laman,
     make_surgery_spec,
     maximal_mi_subgraph,
@@ -24,6 +30,12 @@ from rigicert.rigidity import (
 )
 
 from conftest import four_cycle, k4, k4_minus_edge, k33, prism, triangle, two_triangles
+from oracles import (
+    containment_maximal,
+    enumerate_laman_exhaustive,
+    is_independent_exhaustive,
+    mi_subgraphs_exhaustive,
+)
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:
@@ -80,26 +92,108 @@ def test_is_basic_examples():
 
 def test_maximal_mi_subgraph():
     assert maximal_mi_subgraph(k33()) is None
-    r = maximal_mi_subgraph(k4_minus_edge(), prefer_internal=False)
+    r = maximal_mi_subgraph(k4_minus_edge())
     assert r is not None and freedom_number(r) == 0
     assert r.vertices == {0, 2, 3}  # deterministic tie-break picks this triangle
     # containment-maximal: no strictly larger MI proper subgraph
-    for w in mi_proper_subgraphs(k4_minus_edge()):
+    for w in mi_subgraphs_exhaustive(k4_minus_edge()):
         assert not (r.vertices < w)
-    r2 = maximal_mi_subgraph(prism(), prefer_internal=False)
+    r2 = maximal_mi_subgraph(prism())
     assert r2 is not None and freedom_number(r2) == 0
     with pytest.raises(InputError):
         maximal_mi_subgraph(k4())
+    with pytest.raises(InputError):
+        mi_proper_subgraphs(k4())
 
 
-def test_maximal_mi_prefer_internal():
+def test_maximal_mi_subgraph_keeps_internal_vertex():
     # H1 extension of the prism: new vertex 6 on vertices (0,1); the prism is
     # an MI proper subgraph with internal vertices of the result
     g = Graph(range(7), prism().edges | {(0, 6), (1, 6)})
     assert is_laman(g)
-    r = maximal_mi_subgraph(g, prefer_internal=True)
+    r = maximal_mi_subgraph(g)
     assert r is not None
     assert internal_vertices(g, r.vertices)
+
+
+def _henneberg_graphs(seed: int, count: int, max_n: int) -> list[Graph]:
+    """Seeded random Laman graphs of 4..max_n vertices grown from a triangle,
+    each relabelled with distinct random labels below 100."""
+    rng = random.Random(seed)
+    graphs = []
+    for _ in range(count):
+        g = triangle()
+        for _ in range(rng.randint(4, max_n) - 3):
+            g = rng.choice(henneberg_children(g))
+        relabel = dict(zip(g.sorted_vertices(), rng.sample(range(100), g.n)))
+        graphs.append(Graph(relabel.values(), [(relabel[u], relabel[v]) for u, v in g.edges]))
+    return graphs
+
+
+def _check_mi_queries_against_oracle(g: Graph) -> None:
+    family = mi_subgraphs_exhaustive(g)
+    maximal = containment_maximal(family)
+    assert mi_proper_subgraphs(g) == maximal
+    assert is_basic(g) == (not family)
+    r = maximal_mi_subgraph(g)
+    if not family:
+        assert r is None
+        return
+    # the documented choice over the whole family: a maximal candidate with
+    # an internal vertex if any MI proper subgraph has one, then the smallest
+    # canonical form, then the smallest vertex tuple
+    if any(internal_vertices(g, w) for w in family):
+        maximal = [w for w in maximal if internal_vertices(g, w)]
+    best = min(maximal, key=lambda w: (canonical_form(induced_subgraph(g, w)), tuple(sorted(w))))
+    assert r == induced_subgraph(g, best)
+
+
+def test_mi_queries_match_oracle_on_census(census_by_n):
+    for n in range(3, 9):
+        for g in census_by_n[n].representatives:
+            _check_mi_queries_against_oracle(g)
+
+
+def test_mi_queries_match_oracle_on_relabelled_henneberg_graphs():
+    graphs = _henneberg_graphs(seed=31, count=120, max_n=11)
+    assert max(g.n for g in graphs) == 11
+    for g in graphs:
+        assert is_laman(g)
+        _check_mi_queries_against_oracle(g)
+
+
+def test_internal_vertices_persist_in_maximal_mi_subgraphs(census_by_n):
+    # an MI proper subgraph with an internal vertex lies in a maximal one that
+    # keeps it internal, so maximal_mi_subgraph need look at no other candidate
+    graphs = [g for n in range(6, 9) for g in census_by_n[n].representatives]
+    graphs += _henneberg_graphs(seed=37, count=60, max_n=11)
+    with_internal = 0
+    for g in graphs:
+        family = mi_subgraphs_exhaustive(g)
+        maximal = containment_maximal(family)
+        for w in family:
+            inner = internal_vertices(g, w)
+            if inner:
+                assert any(w <= m and inner <= internal_vertices(g, m) for m in maximal)
+                with_internal += 1
+    assert with_internal > 100
+
+
+def test_mi_queries_on_a_20_vertex_three_connected_graph():
+    # Henneberg II edge splits from K(3,3); far beyond the oracle's reach
+    rng = random.Random(20)
+    g = k33(labels=tuple(range(6)))
+    while g.n < 20:
+        u, v = rng.choice(g.sorted_edges())
+        z = rng.choice(sorted(g.vertices - {u, v}))
+        new = g.n
+        g = Graph(g.vertices | {new}, (g.edges - {(u, v)}) | {edge(u, new), edge(v, new), edge(z, new)})
+    assert is_laman(g) and is_m_connected(g, 3)
+    maximal = mi_proper_subgraphs(g)
+    assert maximal and not is_basic(g)
+    for w in maximal:
+        assert 3 <= len(w) < g.n and is_laman(induced_subgraph(g, w))
+        assert not any(w < other for other in maximal)
 
 
 def test_is_contractible():
@@ -152,7 +246,7 @@ def test_surgery_preserves_rigidity_properties(census_by_n):
         for g in census_by_n[n].representatives:
             if not is_m_connected(g, 3):
                 continue
-            r = maximal_mi_subgraph(g, prefer_internal=True)
+            r = maximal_mi_subgraph(g)
             if r is None:
                 continue
             spec = make_surgery_spec(g, r)

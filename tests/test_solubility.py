@@ -9,7 +9,6 @@ from rigicert.algebra.solubility import (
     RULE_TABLE,
     SolubilityVerdict,
     cycle_type,
-    frobenius_cycle_types,
     maximal_soluble_transitive_groups,
     nonsolubility_certificate,
     rules_for_degree,
@@ -18,6 +17,7 @@ from rigicert.algebra.solubility import (
 from rigicert.algebra.unipoly import UniPoly
 from rigicert.errors import InputError
 
+from oracles import frobenius_cycle_types
 from test_systems import DEG6_FACTOR, DEG8_FACTOR
 
 
