@@ -32,7 +32,7 @@ from .decomposition import (
 )
 from .errors import InputError, InternalInvariantError, ParseError
 from .graph import Block, Graph, format_graph, freedom_number, is_m_connected, is_planar, parse_graph
-from .rigidity import enumerate_laman, is_basic, is_independent, is_laman
+from .rigidity import enumerate_laman, is_basic, is_independent
 
 
 def _edge_list(edges) -> list[list[int]]:
@@ -116,11 +116,12 @@ def _read_graph(path: str) -> Graph:
 
 def cmd_check(args) -> dict:
     g = _read_graph(args.graph_file)
-    laman = is_laman(g)
+    free = freedom_number(g)
+    independent = is_independent(g)
     return {
-        "free": freedom_number(g),
-        "independent": is_independent(g),
-        "laman": laman,
+        "free": free,
+        "independent": independent,
+        "laman": free == 0 and independent,
         "basic": is_basic(g),
         "three_connected": is_m_connected(g, 3),
         "planar": is_planar(g),

@@ -15,7 +15,7 @@ from .errors import InputError, ParseError, UnsupportedSizeError
 
 Edge = tuple[int, int]
 
-#: Desk-scale cap for the permutation-search operations (canonical_form, is_planar).
+#: Desk-scale cap for canonical_form, the one permutation search.
 MAX_CANONICAL_VERTICES = 12
 
 
@@ -338,82 +338,220 @@ def canonical_form(g: Graph) -> bytes:
     return f"{n}:{best:0{width}x}".encode()
 
 
-def _disjoint_paths_exist(
-    g: Graph,
-    demands: list[tuple[int, int]],
-    branch: frozenset[int],
-    used: set[int],
-) -> bool:
-    """Try to route all demand pairs with pairwise internally disjoint paths.
+class _LeftRightTest:
+    """The testing phase of the left-right planarity test (Brandes, "The
+    left-right planarity test", 2009; the criterion is de Fraysseix and
+    Rosenstiehl's): no embedding is built, so the sides of the edges and the
+    references that only fix them are not kept.
 
-    Interior vertices must avoid the branch vertices and anything already used.
+    Vertices are renumbered 0..n-1 in ascending label order and each edge gets
+    an id in the order the orientation DFS directs it, from `tail` to `head`.
+    Both DFS passes keep their own stack, so a deep graph cannot exhaust the
+    interpreter's recursion limit.  A conflict pair is a list
+    [left.low, left.high, right.low, right.high] of return-edge ids, None
+    where the interval is empty.
     """
-    if not demands:
+
+    def __init__(self, g: Graph):
+        verts = g.sorted_vertices()
+        index = {v: i for i, v in enumerate(verts)}
+        adj = [sorted(index[w] for w in g._adj[v]) for v in verts]
+        n = len(verts)
+        self.height = [-1] * n
+        self.parent_edge = [-1] * n
+        self.tail: list[int] = []
+        self.head: list[int] = []
+        self.lowpt: list[int] = []
+        self.lowpt2: list[int] = []
+        self.nesting_depth: list[int] = []
+        self.out: list[list[int]] = [[] for _ in range(n)]
+        for v in range(n):
+            if self.height[v] < 0:
+                self._orient(v, adj)
+        self.ref: list[int | None] = [None] * len(self.head)
+        self.pairs: list[list[int | None]] = []
+
+    def _new_edge(self, v: int, w: int, low: int) -> int:
+        k = len(self.head)
+        self.tail.append(v)
+        self.head.append(w)
+        self.lowpt.append(low)
+        self.lowpt2.append(self.height[v])
+        self.nesting_depth.append(0)
+        self.out[v].append(k)
+        return k
+
+    def _orient(self, root: int, adj: list[list[int]]) -> None:
+        """Orientation DFS from `root`: tree edges point away from it, back edges
+        towards it; fills height, lowpt, lowpt2 and nesting depth."""
+        height, parent_edge, tail = self.height, self.parent_edge, self.tail
+        height[root] = 0
+        pos = {root: 0}
+        stack = [root]
+        while stack:
+            v = stack[-1]
+            hv = height[v]
+            e = parent_edge[v]
+            parent = tail[e] if e >= 0 else -1
+            nbrs = adj[v]
+            i = pos[v]
+            while i < len(nbrs):
+                w = nbrs[i]
+                i += 1
+                if height[w] < 0:
+                    pos[v], pos[w] = i, 0
+                    parent_edge[w] = self._new_edge(v, w, hv)
+                    height[w] = hv + 1
+                    stack.append(w)
+                    break
+                if height[w] < hv and w != parent:
+                    self._finish(self._new_edge(v, w, height[w]))
+            else:
+                stack.pop()
+                if e >= 0:
+                    self._finish(e)
+
+    def _finish(self, k: int) -> None:
+        """Edge k is fully explored: set its nesting depth and pass its lowpoints
+        up to the parent edge of its tail."""
+        lowpt, lowpt2 = self.lowpt, self.lowpt2
+        v = self.tail[k]
+        low = lowpt[k]
+        self.nesting_depth[k] = 2 * low + (lowpt2[k] < self.height[v])
+        e = self.parent_edge[v]
+        if e < 0:
+            return
+        if low < lowpt[e]:
+            lowpt2[e] = min(lowpt[e], lowpt2[k])
+            lowpt[e] = low
+        elif low > lowpt[e]:
+            lowpt2[e] = min(lowpt2[e], low)
+        else:
+            lowpt2[e] = min(lowpt2[e], lowpt2[k])
+
+    def planar(self) -> bool:
+        """Testing DFS over each vertex's out-edges in order of nesting depth,
+        keeping the conflict pairs of the return edges on one stack."""
+        height, parent_edge, head, lowpt = self.height, self.parent_edge, self.head, self.lowpt
+        for edges in self.out:
+            edges.sort(key=self.nesting_depth.__getitem__)
+        pairs = self.pairs
+        stack_bottom: list[list[int | None] | None] = [None] * len(head)
+        entered = [False] * len(height)
+        pos = [0] * len(height)
+        for root in range(len(height)):
+            if parent_edge[root] >= 0:
+                continue
+            stack = [root]
+            while stack:
+                v = stack[-1]
+                hv = height[v]
+                edges = self.out[v]
+                i = pos[v]
+                while i < len(edges):
+                    k = edges[i]
+                    w = head[k]
+                    if parent_edge[w] != k:
+                        stack_bottom[k] = pairs[-1] if pairs else None
+                        pairs.append([None, None, k, k])
+                    elif not entered[w]:
+                        entered[w] = True
+                        stack_bottom[k] = pairs[-1] if pairs else None
+                        pos[v] = i
+                        stack.append(w)
+                        break
+                    # the return edges of v's first out-edge stay as they are
+                    if i > 0 and lowpt[k] < hv and not self._add_constraints(k, parent_edge[v], stack_bottom[k]):
+                        return False
+                    i += 1
+                else:
+                    stack.pop()
+                    if parent_edge[v] >= 0:
+                        self._trim(self.tail[parent_edge[v]])
         return True
-    a, b = demands[0]
 
-    def dfs_path(v: int, interior: list[int], on_path: set[int]) -> bool:
-        for w in sorted(g.neighbors(v)):
-            if w == b:
-                for x in interior:
-                    used.add(x)
-                if _disjoint_paths_exist(g, demands[1:], branch, used):
-                    return True
-                for x in interior:
-                    used.discard(x)
-                continue
-            if w in branch or w in used or w in on_path:
-                continue
-            on_path.add(w)
-            interior.append(w)
-            if dfs_path(w, interior, on_path):
-                return True
-            interior.pop()
-            on_path.discard(w)
-        return False
+    def _add_constraints(self, ei: int, e: int, bottom) -> bool:
+        """Merge the return edges of ei, and those of earlier out-edges of the
+        same vertex that conflict with them, into one new conflict pair."""
+        lowpt, ref, pairs = self.lowpt, self.ref, self.pairs
+        p: list[int | None] = [None, None, None, None]
+        while True:
+            q = pairs.pop()
+            if q[1] is not None:
+                q[:] = q[2], q[3], q[0], q[1]
+            if q[1] is not None:
+                return False
+            if lowpt[q[2]] > lowpt[e]:
+                if p[3] is None:
+                    p[3] = q[3]
+                else:
+                    ref[p[2]] = q[3]
+                p[2] = q[2]
+            if (pairs[-1] if pairs else None) is bottom:
+                break
+        low = lowpt[ei]
+        while pairs:
+            q = pairs[-1]
+            if not (q[1] is not None and lowpt[q[1]] > low or q[3] is not None and lowpt[q[3]] > low):
+                break
+            pairs.pop()
+            if q[3] is not None and lowpt[q[3]] > low:
+                q[:] = q[2], q[3], q[0], q[1]
+            if q[3] is not None and lowpt[q[3]] > low:
+                return False
+            if p[3] is None:
+                p[3] = q[3]
+            else:
+                ref[p[2]] = q[3]
+            if q[2] is not None:
+                p[2] = q[2]
+            if p[1] is None:
+                p[1] = q[1]
+            else:
+                ref[p[0]] = q[1]
+            p[0] = q[0]
+        if p[1] is not None or p[3] is not None:
+            pairs.append(p)
+        return True
 
-    if g.has_edge(a, b):
-        if _disjoint_paths_exist(g, demands[1:], branch, used):
-            return True
-    return dfs_path(a, [], {a})
+    def _trim(self, u: int) -> None:
+        """Drop the return edges that end at u, as the DFS goes back to u."""
+        lowpt, ref, head, pairs = self.lowpt, self.ref, self.head, self.pairs
+        hu = self.height[u]
 
+        def lowest(p) -> int:
+            if p[1] is None:
+                return lowpt[p[2]]
+            if p[3] is None:
+                return lowpt[p[0]]
+            return min(lowpt[p[0]], lowpt[p[2]])
 
-def _has_subdivision(g: Graph, pattern: str) -> bool:
-    verts = g.sorted_vertices()
-    if pattern == "K5":
-        candidates = [v for v in verts if g.degree(v) >= 4]
-        if len(candidates) < 5:
-            return False
-        for branch in itertools.combinations(candidates, 5):
-            demands = list(itertools.combinations(branch, 2))
-            if _disjoint_paths_exist(g, demands, frozenset(branch), set()):
-                return True
-        return False
-    if pattern == "K33":
-        candidates = [v for v in verts if g.degree(v) >= 3]
-        if len(candidates) < 6:
-            return False
-        for six in itertools.combinations(candidates, 6):
-            for left in itertools.combinations(six, 3):
-                if six[0] not in left:
-                    continue  # fix the lowest vertex on the left side to halve the work
-                right = tuple(v for v in six if v not in left)
-                demands = [(u, v) for u in left for v in right]
-                if _disjoint_paths_exist(g, demands, frozenset(six), set()):
-                    return True
-        return False
-    raise ValueError(pattern)
+        while pairs and lowest(pairs[-1]) == hu:
+            pairs.pop()
+        if pairs:
+            p = pairs[-1]
+            while p[1] is not None and head[p[1]] == u:
+                p[1] = ref[p[1]]
+            if p[1] is None:
+                p[0] = None
+            while p[3] is not None and head[p[3]] == u:
+                p[3] = ref[p[3]]
+            if p[3] is None:
+                p[2] = None
 
 
 def is_planar(g: Graph) -> bool:
-    """Kuratowski test: no subdivision of K5 or K(3,3)."""
-    if g.n > MAX_CANONICAL_VERTICES:
-        raise UnsupportedSizeError(f"planarity test supports at most {MAX_CANONICAL_VERTICES} vertices")
+    """Whether G has a plane embedding, by the left-right planarity test.
+
+    Linear in the size of G for any number of vertices and components; graphs
+    with fewer than 5 vertices or 9 edges are planar and graphs with more than
+    3n - 6 edges are not, without a search.
+    """
     if g.n < 5 or g.e < 9:
         return True
-    if g.n >= 3 and g.e > 3 * g.n - 6:
+    if g.e > 3 * g.n - 6:
         return False
-    return not (_has_subdivision(g, "K5") or _has_subdivision(g, "K33"))
+    return _LeftRightTest(g).planar()
 
 
 # Text format: whitespace-separated token stream, `#` comments run to end of

@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from rigicert.graph import Graph
+from rigicert.graph import Graph, edge
 from rigicert.rigidity import enumerate_laman
 
 
@@ -25,6 +27,20 @@ def k33(labels=(1, 4, 6, 2, 3, 5)) -> Graph:
     # parts are the first and last three labels
     left, right = labels[:3], labels[3:]
     return Graph(labels, [(a, b) for a in left for b in right])
+
+
+def henneberg_ii_from_k33(seed: int, n: int) -> Graph:
+    """K(3,3) grown to n vertices by seeded Henneberg II moves: split an edge
+    uv by a new vertex that is also joined to a third vertex z.  Every result
+    is a 3-connected, non-planar Laman graph."""
+    rng = random.Random(seed)
+    g = k33(labels=tuple(range(6)))
+    while g.n < n:
+        u, v = rng.choice(g.sorted_edges())
+        z = rng.choice(sorted(g.vertices - {u, v}))
+        x = g.n
+        g = Graph(g.vertices | {x}, (g.edges - {(u, v)}) | {edge(u, x), edge(v, x), edge(z, x)})
+    return g
 
 
 def prism() -> Graph:

@@ -1,7 +1,7 @@
 """Exhaustive oracles the tests check rigicert's fast routines against.
 
-Each scans every vertex subset, edge set or prime directly.  None of them is
-used by the package itself.
+Each scans every vertex subset, edge set, branch set or prime directly.  None
+of them is used by the package itself.
 """
 
 from __future__ import annotations
@@ -74,6 +74,81 @@ def enumerate_laman_exhaustive(n: int) -> set[bytes]:
         if is_independent_exhaustive(g):
             found.add(canonical_form(g))
     return found
+
+
+def _disjoint_paths_exist(
+    g: Graph,
+    demands: list[tuple[int, int]],
+    branch: frozenset[int],
+    used: set[int],
+) -> bool:
+    """Try to route all demand pairs with pairwise internally disjoint paths.
+
+    Interior vertices must avoid the branch vertices and anything already used.
+    """
+    if not demands:
+        return True
+    a, b = demands[0]
+
+    def dfs_path(v: int, interior: list[int], on_path: set[int]) -> bool:
+        for w in sorted(g.neighbors(v)):
+            if w == b:
+                for x in interior:
+                    used.add(x)
+                if _disjoint_paths_exist(g, demands[1:], branch, used):
+                    return True
+                for x in interior:
+                    used.discard(x)
+                continue
+            if w in branch or w in used or w in on_path:
+                continue
+            on_path.add(w)
+            interior.append(w)
+            if dfs_path(w, interior, on_path):
+                return True
+            interior.pop()
+            on_path.discard(w)
+        return False
+
+    if g.has_edge(a, b):
+        if _disjoint_paths_exist(g, demands[1:], branch, used):
+            return True
+    return dfs_path(a, [], {a})
+
+
+def _has_subdivision(g: Graph, pattern: str) -> bool:
+    verts = g.sorted_vertices()
+    if pattern == "K5":
+        candidates = [v for v in verts if g.degree(v) >= 4]
+        if len(candidates) < 5:
+            return False
+        for branch in itertools.combinations(candidates, 5):
+            demands = list(itertools.combinations(branch, 2))
+            if _disjoint_paths_exist(g, demands, frozenset(branch), set()):
+                return True
+        return False
+    if pattern == "K33":
+        candidates = [v for v in verts if g.degree(v) >= 3]
+        if len(candidates) < 6:
+            return False
+        for six in itertools.combinations(candidates, 6):
+            for left in itertools.combinations(six, 3):
+                if six[0] not in left:
+                    continue  # fix the lowest vertex on the left side to halve the work
+                right = tuple(v for v in six if v not in left)
+                demands = [(u, v) for u in left for v in right]
+                if _disjoint_paths_exist(g, demands, frozenset(six), set()):
+                    return True
+        return False
+    raise ValueError(pattern)
+
+
+def is_planar_kuratowski(g: Graph) -> bool:
+    """Kuratowski's criterion searched directly: no subdivision of K5 or K(3,3)
+    on any 5- or 6-vertex branch set.  Exponential; n <= 10 only."""
+    if g.n > 10:
+        raise UnsupportedSizeError("Kuratowski oracle supports n <= 10")
+    return not (_has_subdivision(g, "K5") or _has_subdivision(g, "K33"))
 
 
 def sylvester_matrix(f: MultiPoly, g: MultiPoly, var: str) -> list[list[MultiPoly]]:

@@ -1,11 +1,13 @@
 import json
+import random
 
 from rigicert import cli
 from rigicert.cli import main
 from rigicert.errors import InternalInvariantError
-from rigicert.graph import format_graph
+from rigicert.graph import Graph, edge, format_graph, is_m_connected
+from rigicert.rigidity import is_laman
 
-from conftest import g5, k4, k33, prism, triangle
+from conftest import g5, henneberg_ii_from_k33, k4, k33, prism, triangle
 
 
 def run_cli(capsys, *argv):
@@ -76,6 +78,58 @@ def test_internal_error_exit_code(tmp_path, capsys, monkeypatch):
     code, out, err = run_cli(capsys, "check", write_graph(tmp_path, k33()))
     assert code == 3 and out == ""
     assert err == "internal error: invariant broke\n"
+
+
+def _planar_henneberg_ii_from_prism(seed: int, n: int) -> Graph:
+    """The prism grown to n vertices by seeded face-preserving Henneberg II
+    moves: the new vertex x replaces the edge uv of a face F, and its third
+    edge goes to a vertex w of F, splitting F in two.  Faces are cyclic vertex
+    lists of a plane embedding, so every result is planar."""
+    rng = random.Random(seed)
+    g = prism()
+    faces = [[0, 1, 2], [5, 4, 3], [0, 3, 4, 1], [1, 4, 5, 2], [2, 5, 3, 0]]
+    while g.n < n:
+        face = faces.pop(rng.randrange(len(faces)))
+        i = rng.randrange(len(face))
+        face = face[i:] + face[:i]  # face = [u, v, a1, ..., ak]
+        u, v, rest = face[0], face[1], face[2:]
+        j = rng.randrange(len(rest))
+        w, x = rest[j], g.n
+        other = next(f for f in faces if any({f[k], f[k - 1]} == {u, v} for k in range(len(f))))
+        k = next(k for k in range(len(other)) if {other[k], other[k - 1]} == {u, v})
+        other.insert(k, x)  # between other[k - 1] and other[k]
+        faces += [[x, v] + rest[: j + 1], [x, w] + rest[j + 1 :] + [u]]
+        g = Graph(g.vertices | {x}, (g.edges - {edge(u, v)}) | {edge(u, x), edge(v, x), edge(w, x)})
+    return g
+
+
+def test_check_and_classify_above_12_vertices(tmp_path, capsys):
+    g = henneberg_ii_from_k33(seed=14, n=14)
+    assert is_laman(g) and is_m_connected(g, 3)
+    path = write_graph(tmp_path, g)
+    code, out, _ = run_cli(capsys, "check", path)
+    assert code == 0
+    result = report_of(out)["result"]
+    assert result["laman"] and result["three_connected"] and result["planar"] is False
+    code, out, _ = run_cli(capsys, "classify", path)
+    assert code == 0
+    result = report_of(out)["result"]
+    assert result["verdict"] == "NOT_RS_CONJECTURED"
+    assert [w["graph"] for w in result["witnesses"]] == [format_graph(g, single_line=True)]
+
+
+def test_planar_check_and_classify_above_12_vertices(tmp_path, capsys):
+    g = _planar_henneberg_ii_from_prism(seed=13, n=15)
+    assert is_laman(g) and is_m_connected(g, 3)
+    path = write_graph(tmp_path, g)
+    code, out, _ = run_cli(capsys, "check", path)
+    assert code == 0
+    result = report_of(out)["result"]
+    assert result["laman"] and result["three_connected"] and result["planar"] is True
+    assert result["basic"] is False
+    code, out, _ = run_cli(capsys, "classify", path)
+    assert code == 0
+    assert report_of(out)["result"]["verdict"] == "NOT_RS_PROVEN_PLANAR"
 
 
 def test_census_counts(capsys):

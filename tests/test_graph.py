@@ -22,6 +22,7 @@ from rigicert.graph import (
 )
 
 from conftest import g5, k4, k4_minus_edge, k5, k33, prism, triangle, two_triangles
+from oracles import is_planar_kuratowski
 
 
 def to_nx(g: Graph) -> nx.Graph:
@@ -258,6 +259,171 @@ def test_is_planar_against_networkx():
         g = random_graph(rng, n, rng.uniform(0.25, 0.7))
         expected, _ = nx.check_planarity(to_nx(g))
         assert is_planar(g) == expected
+
+
+def test_is_planar_against_kuratowski_oracle():
+    rng = random.Random(29)
+    seen = set()
+    for _ in range(150):
+        n = rng.randint(5, 10)
+        g = random_graph(rng, n, rng.uniform(0.25, 0.6))
+        expected = is_planar_kuratowski(g)
+        assert is_planar(g) == expected
+        seen.add(expected)
+    assert seen == {True, False}
+
+
+def test_is_planar_against_networkx_up_to_60_vertices():
+    rng = random.Random(31)
+    seen = set()
+    for _ in range(200):
+        n = rng.randint(10, 60)
+        # about 1.5n down to 3n edges: either side of planarity
+        g = random_graph(rng, n, rng.uniform(3.0, 6.0) / (n - 1))
+        expected, _ = nx.check_planarity(to_nx(g))
+        assert is_planar(g) == expected
+        seen.add(expected)
+    assert seen == {True, False}
+
+
+def maximal_planar(rng: random.Random, n: int) -> set[tuple[int, int]]:
+    """Edges of a seeded random triangulation of the sphere on n >= 4
+    vertices: stacked vertices in random faces, then random edge flips."""
+    faces = [(0, 1, 2), (0, 1, 2)]
+    for d in range(3, n):
+        a, b, c = faces.pop(rng.randrange(len(faces)))
+        faces += [(a, b, d), (b, c, d), (a, c, d)]
+    edges = {tuple(sorted(pair)) for f in faces for pair in itertools.combinations(f, 2)}
+    for _ in range(3 * n):
+        u, v = rng.choice(sorted(edges))
+        both = [f for f in faces if u in f and v in f]
+        x, y = (next(w for w in f if w not in (u, v)) for f in both)
+        if x == y or tuple(sorted((x, y))) in edges:
+            continue
+        for f in both:
+            faces.remove(f)
+        faces += [(x, y, u), (x, y, v)]
+        edges = (edges - {(u, v)}) | {tuple(sorted((x, y)))}
+    return edges
+
+
+def test_is_planar_on_maximal_planar_graphs_and_one_edge_more():
+    rng = random.Random(37)
+    seen = set()
+    for _ in range(60):
+        n = rng.randint(10, 60)
+        edges = maximal_planar(rng, n)
+        assert len(edges) == 3 * n - 6
+        assert is_planar(Graph(range(n), edges))
+        missing = [pair for pair in itertools.combinations(range(n), 2) if pair not in edges]
+        extra = rng.choice(missing)
+        assert not is_planar(Graph(range(n), edges | {extra}))
+        # below the 3n - 6 bound the extra edge is decided by the search itself
+        thinned = set(rng.sample(sorted(edges), len(edges) - rng.randint(1, n // 2))) | {extra}
+        g = Graph(range(n), thinned)
+        expected, _ = nx.check_planarity(to_nx(g))
+        assert is_planar(g) == expected
+        seen.add(expected)
+    assert seen == {True, False}
+
+
+def subdivided(rng: random.Random, g: Graph, extra_vertices: int) -> Graph:
+    """g with randomly chosen edges subdivided by extra_vertices new vertices."""
+    edges = set(g.edges)
+    label = max(g.vertices) + 1
+    for _ in range(extra_vertices):
+        u, v = rng.choice(sorted(edges))
+        edges = (edges - {(u, v)}) | {(u, label), (v, label)}
+        label += 1
+    return Graph(set(g.vertices) | set(range(max(g.vertices) + 1, label)), edges)
+
+
+def padded(rng: random.Random, g: Graph, pieces: int) -> Graph:
+    """g with planar pieces (wheels and grids) glued on at one vertex, along
+    one edge, or left apart as further components, then relabelled."""
+    vertices, edges = set(g.vertices), set(g.edges)
+    for _ in range(pieces):
+        base = max(vertices) + 1
+        if rng.random() < 0.5:
+            k = rng.randint(3, 7)  # wheel: hub `base`, rim base+1..base+k
+            piece = [(base, base + i) for i in range(1, k + 1)]
+            piece += [(base + i, base + i % k + 1) for i in range(1, k + 1)]
+        else:
+            r, c = rng.randint(2, 4), rng.randint(2, 4)
+            piece = [(base + i * c + j, base + i * c + j + 1) for i in range(r) for j in range(c - 1)]
+            piece += [(base + i * c + j, base + (i + 1) * c + j) for i in range(r - 1) for j in range(c)]
+        glue = rng.choice(("vertex", "edge", "apart"))
+        mapping: dict[int, int] = {}
+        if glue == "vertex":
+            mapping[base] = rng.choice(sorted(vertices))
+        elif glue == "edge":
+            u, v = rng.choice(sorted(edges))
+            mapping[piece[0][0]], mapping[piece[0][1]] = u, v
+        for a, b in piece:
+            a, b = mapping.get(a, a), mapping.get(b, b)
+            vertices |= {a, b}
+            edges.add((min(a, b), max(a, b)))
+    relabel = dict(zip(sorted(vertices), rng.sample(range(10 * len(vertices)), len(vertices))))
+    return Graph(relabel.values(), [(relabel[u], relabel[v]) for u, v in edges])
+
+
+def test_is_planar_on_padded_kuratowski_subdivisions():
+    rng = random.Random(41)
+    for _ in range(80):
+        core = rng.choice((k5(), k33()))
+        g = padded(rng, subdivided(rng, core, rng.randint(0, 6)), rng.randint(1, 4))
+        assert not is_planar(g)
+        # one core edge fewer and the same padding is planar
+        u, v = rng.choice(core.sorted_edges())
+        h = padded(rng, subdivided(rng, core.without_edges([(u, v)]), rng.randint(0, 6)), rng.randint(1, 4))
+        assert is_planar(h) and nx.check_planarity(to_nx(h))[0]  # 2-sums of planar graphs
+
+
+def test_is_planar_disconnected_and_cut_vertices():
+    rng = random.Random(43)
+    for _ in range(60):
+        parts = [random_graph(rng, rng.randint(5, 9), rng.uniform(0.3, 0.7)) for _ in range(rng.randint(2, 4))]
+        vertices, edges, offset = set(), set(), 0
+        for part in parts:
+            vertices |= {v + offset for v in part.vertices}
+            edges |= {(u + offset, v + offset) for u, v in part.edges}
+            offset += part.n
+        apart = Graph(vertices, edges)
+        assert is_planar(apart) == all(is_planar(part) for part in parts)
+        assert is_planar(apart) == nx.check_planarity(to_nx(apart))[0]
+        # chain the parts at single shared vertices: every join is a cut vertex
+        starts = [0]
+        for part in parts[:-1]:
+            starts.append(starts[-1] + part.n - 1)
+        chained = Graph(
+            {v + s for part, s in zip(parts, starts) for v in part.vertices},
+            {(u + s, v + s) for part, s in zip(parts, starts) for u, v in part.edges},
+        )
+        assert is_planar(chained) == all(is_planar(part) for part in parts)
+        assert is_planar(chained) == nx.check_planarity(to_nx(chained))[0]
+
+
+def test_is_planar_on_the_laman_census(census_by_n):
+    for n in range(3, 9):
+        for g in census_by_n[n].representatives:
+            expected, _ = nx.check_planarity(to_nx(g))
+            assert is_planar(g) == expected == is_planar_kuratowski(g)
+
+
+def test_is_planar_deep_graphs_need_no_recursion():
+    n = 5000
+    cycle = Graph(range(n), [(i, (i + 1) % n) for i in range(n)])
+    assert is_planar(cycle)
+    k = 60
+    grid = Graph(
+        range(k * k),
+        [(i * k + j, i * k + j + 1) for i in range(k) for j in range(k - 1)]
+        + [(i * k + j, (i + 1) * k + j) for i in range(k - 1) for j in range(k)],
+    )
+    assert is_planar(grid)
+    # K(3,3) at the far end of a 5,000-vertex path
+    tail = [(i, i + 1) for i in range(n)] + [(n + a, n + b) for a in range(3) for b in range(3, 6)]
+    assert not is_planar(Graph(range(n + 6), tail))
 
 
 def test_parse_and_format_roundtrip():

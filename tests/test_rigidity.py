@@ -7,7 +7,6 @@ from rigicert.errors import InputError, UnsupportedSizeError
 from rigicert.graph import (
     Graph,
     canonical_form,
-    edge,
     freedom_number,
     induced_subgraph,
     is_m_connected,
@@ -29,7 +28,7 @@ from rigicert.rigidity import (
     surgery,
 )
 
-from conftest import four_cycle, k4, k4_minus_edge, k33, prism, triangle, two_triangles
+from conftest import four_cycle, henneberg_ii_from_k33, k4, k4_minus_edge, k33, prism, triangle, two_triangles
 from oracles import (
     containment_maximal,
     enumerate_laman_exhaustive,
@@ -181,13 +180,7 @@ def test_internal_vertices_persist_in_maximal_mi_subgraphs(census_by_n):
 
 def test_mi_queries_on_a_20_vertex_three_connected_graph():
     # Henneberg II edge splits from K(3,3); far beyond the oracle's reach
-    rng = random.Random(20)
-    g = k33(labels=tuple(range(6)))
-    while g.n < 20:
-        u, v = rng.choice(g.sorted_edges())
-        z = rng.choice(sorted(g.vertices - {u, v}))
-        new = g.n
-        g = Graph(g.vertices | {new}, (g.edges - {(u, v)}) | {edge(u, new), edge(v, new), edge(z, new)})
+    g = henneberg_ii_from_k33(seed=20, n=20)
     assert is_laman(g) and is_m_connected(g, 3)
     maximal = mi_proper_subgraphs(g)
     assert maximal and not is_basic(g)
