@@ -24,7 +24,6 @@ from .graph import (
 )
 from .rigidity import (
     CensusResult,
-    SurgerySpec,
     enumerate_laman,
     is_basic,
     is_contractible,
@@ -63,7 +62,6 @@ __all__ = [
     "separation_blocks",
     "separation_pairs",
     "CensusResult",
-    "SurgerySpec",
     "enumerate_laman",
     "is_basic",
     "is_contractible",

@@ -53,9 +53,6 @@ class ConstraintSystem:
     equations: tuple[MultiPoly, ...]
     distances: dict[Edge, Fraction]
 
-    def equation_edges(self) -> list[Edge]:
-        return [e for e in self.graph.sorted_edges() if e != self.base_edge]
-
 
 def _coordinate_names(graph: Graph, base: Edge) -> tuple[str, ...]:
     free = [v for v in graph.sorted_vertices() if v not in base]

@@ -465,7 +465,7 @@ def _lift_pair(p: int, target: int, f, g, h, s, t):
     while m < target:
         g, h, s, t = _hensel_step(m, f, g, h, s, t)
         m *= m
-    return g, h, m
+    return g, h
 
 
 def hensel_lift(p: int, target: int, f: list[int], factors: list[list[int]]) -> tuple[list[list[int]], int]:
@@ -491,9 +491,7 @@ def hensel_lift(p: int, target: int, f: list[int], factors: list[list[int]]) -> 
         one, s, t = gf_extended_euclid(g0, h0, p)
         if one != [1]:
             raise InternalInvariantError("factor halves are not coprime mod p")
-        g, h, m = _lift_pair(p, modulus, gf_from_int(f, modulus), g0, h0, s, t)
-        if m != modulus:
-            g, h = gf_from_int(g, modulus), gf_from_int(h, modulus)
+        g, h = _lift_pair(p, modulus, gf_from_int(f, modulus), g0, h0, s, t)
         return recurse(g, facs[:half]) + recurse(h, facs[half:])
 
     return recurse(gf_from_int(f, modulus), factors), modulus

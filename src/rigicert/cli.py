@@ -95,7 +95,7 @@ def step_json(record: StepRecord) -> dict:
         detail = {
             "blocks": [block_json(b) for b in decomposition.blocks],
             "separation_history": [list(p.pair) for p in decomposition.separation_history],
-            "recursed_into": [graph_json(g) for g in record.detail["chosen_blocks"]],
+            "recursed_into": [graph_json(g) for g in record.output_graphs],
         }
     return {
         "kind": record.kind.value,

@@ -36,11 +36,11 @@ from .graph import (
     separation_pairs,
 )
 from .rigidity import (
+    attachment_vertices,
     internal_vertices,
     is_basic,
     is_contractible,
     is_laman,
-    make_surgery_spec,
     maximal_mi_subgraph,
     mi_proper_subgraphs,
     surgery,
@@ -235,22 +235,13 @@ def reduce_step(g: Graph) -> tuple[list[Graph], list[StepRecord]]:
     """
     _require(is_laman(g), "reduce_step requires a Laman graph")
     _require(is_m_connected(g, 3), "reduce_step requires a 3-connected graph")
-    _require(not is_basic(g), "reduce_step requires a non-basic graph (already terminal)")
+    r = maximal_mi_subgraph(g)
+    _require(r is not None, "reduce_step requires a non-basic graph (already terminal)")
     _require(g.n > 6, "reduce_step requires more than 6 vertices (doublet is terminal)")
 
-    r = maximal_mi_subgraph(g)
-    if r is None:
-        raise InternalInvariantError("non-basic graph has no maximally independent proper subgraph")
-    spec = make_surgery_spec(g, r)
-    h = surgery(spec)
-    records = [
-        StepRecord(
-            StepKind.SURGERY,
-            g,
-            (h,),
-            {"replaced": r, "attachment": spec.attachment_vertices},
-        )
-    ]
+    h = surgery(g, r)
+    cycle = tuple(attachment_vertices(g, r.vertices))
+    records = [StepRecord(StepKind.SURGERY, g, (h,), {"replaced": r, "attachment": cycle})]
     if internal_vertices(g, r.vertices):
         return [h], records
 
@@ -260,7 +251,6 @@ def reduce_step(g: Graph) -> tuple[list[Graph], list[StepRecord]]:
         if internal_vertices(h, w):
             raise InternalInvariantError(f"after surgery: MI subgraph {sorted(w)} has an internal vertex")
 
-    cycle = spec.attachment_vertices
     cycle_edges = sorted(
         edge(cycle[i], cycle[(i + 1) % len(cycle)]) for i in range(len(cycle))
     )
@@ -269,10 +259,11 @@ def reduce_step(g: Graph) -> tuple[list[Graph], list[StepRecord]]:
             raise InternalInvariantError(f"surgery cycle edge {e} is not contractible")
 
     for f in h.sorted_edges():
-        if is_contractible(h, f) and is_m_connected(contract_edge(h, f), 3):
+        if is_contractible(h, f):
             contracted = contract_edge(h, f)
-            records.append(StepRecord(StepKind.CONTRACTION, h, (contracted,), {"edge": f}))
-            return [contracted], records
+            if is_m_connected(contracted, 3):
+                records.append(StepRecord(StepKind.CONTRACTION, h, (contracted,), {"edge": f}))
+                return [contracted], records
 
     e = cycle_edges[0]
     contracted = contract_edge(h, e)
@@ -290,15 +281,9 @@ def reduce_step(g: Graph) -> tuple[list[Graph], list[StepRecord]]:
         emitted.append(block_graph)
     if not emitted:
         raise InternalInvariantError("no redundant-free block to recurse into; one always exists")
-    emitted.sort(key=canonical_form)
-    records.append(
-        StepRecord(
-            StepKind.BLOCK_SPLIT,
-            contracted,
-            tuple(emitted),
-            {"decomposition": decomposition, "chosen_blocks": tuple(emitted)},
-        )
-    )
+    if len(emitted) > 1:  # canonical_form is capped; a lone block needs no order
+        emitted.sort(key=canonical_form)
+    records.append(StepRecord(StepKind.BLOCK_SPLIT, contracted, tuple(emitted), {"decomposition": decomposition}))
     return emitted, records
 
 

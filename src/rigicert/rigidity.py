@@ -147,7 +147,9 @@ def maximal_mi_subgraph(g: Graph) -> Graph | None:
     Returns None exactly when the graph is basic.  If any MI proper subgraph
     has an internal vertex the returned one does too (needed by the reduction
     engine's surgery step); an internal vertex of W stays internal in every
-    superset of W.  Ties break by smallest canonical form, then vertex tuple.
+    superset of W.  Ties break by smallest canonical form, then vertex tuple;
+    a single candidate needs no tie-break, so only a tie of two or more
+    reaches the canonical form's size cap.
     """
     if not is_laman(g):
         raise InputError("maximal MI subgraphs are defined for Laman graphs")
@@ -156,7 +158,8 @@ def maximal_mi_subgraph(g: Graph) -> Graph | None:
         return None
     maximal = [w for w in maximal if internal_vertices(g, w)] or maximal
     graphs = [induced_subgraph(g, w) for w in maximal]
-    graphs.sort(key=lambda h: (canonical_form(h), tuple(h.sorted_vertices())))
+    if len(graphs) > 1:
+        graphs.sort(key=lambda h: (canonical_form(h), tuple(h.sorted_vertices())))
     return graphs[0]
 
 
@@ -178,20 +181,6 @@ def is_contractible(g: Graph, e: Edge) -> bool:
     return is_laman(contract_edge(g, e))
 
 
-@dataclass(frozen=True)
-class SurgerySpec:
-    """Replacement of a maximally independent subgraph by an attachment fan."""
-
-    target: Graph
-    replaced_subgraph: Graph
-    attachment_vertices: tuple[int, ...]
-
-
-def make_surgery_spec(g: Graph, replaced: Graph) -> SurgerySpec:
-    """Build a spec with the attachment vertices in ascending label order."""
-    return SurgerySpec(g, replaced, tuple(attachment_vertices(g, replaced.vertices)))
-
-
 def fan_edges(cycle: tuple[int, ...]) -> list[Edge]:
     """Cycle c1..cm..c1 plus the chords (c1,c3)..(c1,c{m-1}): 2m-3 edges."""
     m = len(cycle)
@@ -200,10 +189,10 @@ def fan_edges(cycle: tuple[int, ...]) -> list[Edge]:
     return es
 
 
-def surgery(spec: SurgerySpec) -> Graph:
-    """Strip a maximally independent subgraph and fan-triangulate its
-    attachment vertices.  Every precondition failure is named."""
-    g, r = spec.target, spec.replaced_subgraph
+def surgery(g: Graph, r: Graph) -> Graph:
+    """Strip the maximally independent subgraph R from G and fan-triangulate
+    R's attachment vertices, the fan following their ascending order.  Every
+    precondition failure is named."""
     if not r.vertices <= g.vertices:
         raise InputError("replaced subgraph is not inside the target")
     if induced_subgraph(g, r.vertices) != r:
@@ -216,9 +205,7 @@ def surgery(spec: SurgerySpec) -> Graph:
         raise InputError("target must be maximally independent")
     if not is_m_connected(g, 3):
         raise InputError("target must be 3-connected")
-    cycle = spec.attachment_vertices
-    if sorted(cycle) != attachment_vertices(g, r.vertices):
-        raise InputError("attachment vertices do not match the replaced subgraph")
+    cycle = tuple(attachment_vertices(g, r.vertices))
     if len(cycle) < 3:
         raise InputError("surgery needs at least 3 attachment vertices")
     internal = internal_vertices(g, r.vertices)

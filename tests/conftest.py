@@ -43,6 +43,15 @@ def henneberg_ii_from_k33(seed: int, n: int) -> Graph:
     return g
 
 
+def henneberg_ii_plus_triangle() -> Graph:
+    """`henneberg_ii_from_k33(3, 13)` with the triangle 13-14-15 joined to it by
+    the edges (0,13), (1,14), (2,15): a 16-vertex 3-connected Laman graph
+    whose maximal MI proper subgraphs have 13 and 3 vertices."""
+    g = henneberg_ii_from_k33(3, 13)
+    joined = [(13, 14), (14, 15), (13, 15), (0, 13), (1, 14), (2, 15)]
+    return Graph(g.vertices | {13, 14, 15}, g.edges | set(joined))
+
+
 def prism() -> Graph:
     return Graph(range(6), [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)])
 

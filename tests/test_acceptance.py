@@ -30,12 +30,12 @@ from rigicert.graph import (
     is_m_connected,
 )
 from rigicert.rigidity import (
+    attachment_vertices,
     internal_vertices,
     is_basic,
     is_contractible,
     is_independent,
     is_laman,
-    make_surgery_spec,
     mi_proper_subgraphs,
     surgery,
 )
@@ -172,13 +172,12 @@ def test_criterion_5_invariant_suite(census_by_n):
     # surgery properties on every census instance
     instances = 0
     for g, r in _surgery_instances(census_by_n):
-        spec = make_surgery_spec(g, r)
-        h = surgery(spec)
+        h = surgery(g, r)
         assert freedom_number(h) == freedom_number(g)  # freedom preserved
         assert is_independent(h)  # independence preserved
         assert is_laman(h)  # the surgered graph stays maximally independent
         assert is_m_connected(h, 3)  # and 3-connected when the subgraph was maximal
-        cycle = spec.attachment_vertices
+        cycle = attachment_vertices(g, r.vertices)
         for i in range(len(cycle)):
             assert is_contractible(h, (cycle[i], cycle[(i + 1) % len(cycle)]))  # fan cycle edges contract
         # internal-vertex MI subgraphs of the surgered graph come from the original

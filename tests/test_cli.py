@@ -3,11 +3,12 @@ import random
 
 from rigicert import cli
 from rigicert.cli import main
+from rigicert.decomposition import StepKind, StepRecord, decompose_unique
 from rigicert.errors import InternalInvariantError
 from rigicert.graph import Graph, edge, format_graph, is_m_connected
 from rigicert.rigidity import is_laman
 
-from conftest import g5, henneberg_ii_from_k33, k4, k33, prism, triangle
+from conftest import g5, henneberg_ii_from_k33, henneberg_ii_plus_triangle, k4, k33, prism, triangle
 
 
 def run_cli(capsys, *argv):
@@ -187,6 +188,43 @@ def test_reduce_nontrivial_trace(tmp_path, capsys, census_by_n):
         parse_graph(step["input_graph"])
         for text in step["output_graphs"]:
             parse_graph(text)
+
+
+def test_reduce_above_12_vertices(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "reduce", write_graph(tmp_path, henneberg_ii_plus_triangle()))
+    assert code == 0, err
+    result = report_of(out)["result"]
+    assert [s["kind"] for s in result["steps"]] == ["SURGERY"]
+    assert result["terminal_kind"] == "DOUBLET" and len(result["terminals"]) == 1
+
+
+def test_block_split_step_json():
+    # no known input reaches the reduction's block split, so render a
+    # hand-built record: "recursed_into" repeats the record's output graphs
+    decomposition = decompose_unique(g5())
+    outputs = tuple(b.core() for b in decomposition.blocks if not b.redundant_flags)
+    record = StepRecord(StepKind.BLOCK_SPLIT, g5(), outputs, {"decomposition": decomposition})
+    assert cli.step_json(record) == {
+        "kind": "BLOCK_SPLIT",
+        "input_graph": "n 5 e 0 2 e 0 3 e 0 4 e 1 2 e 1 3 e 1 4 e 2 3",
+        "output_graphs": ["n 3 e 0 1 e 0 4 e 1 4"],
+        "detail": {
+            "blocks": [
+                {
+                    "graph": "n 4 e 0 1 e 0 2 e 0 3 e 1 2 e 1 3 e 2 3",
+                    "virtual_edges": [[0, 1]],
+                    "redundant_edges": [[0, 1]],
+                },
+                {
+                    "graph": "n 3 e 0 1 e 0 4 e 1 4",
+                    "virtual_edges": [[0, 1]],
+                    "redundant_edges": [],
+                },
+            ],
+            "separation_history": [[0, 1]],
+            "recursed_into": ["n 3 e 0 1 e 0 4 e 1 4"],
+        },
+    }
 
 
 def test_k33_default_pipeline(capsys):

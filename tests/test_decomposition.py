@@ -14,9 +14,9 @@ from rigicert.decomposition import (
 )
 from rigicert.errors import InputError
 from rigicert.graph import Graph, canonical_form, is_m_connected, parse_graph
-from rigicert.rigidity import is_basic, is_laman
+from rigicert.rigidity import is_basic, is_laman, mi_proper_subgraphs
 
-from conftest import four_cycle, g5, k4, k4_minus_edge, k33, prism, triangle
+from conftest import four_cycle, g5, henneberg_ii_plus_triangle, k4, k4_minus_edge, k33, prism, triangle
 
 
 def test_decompose_k4_minus_edge():
@@ -217,6 +217,18 @@ def test_reduce_to_terminal_census(census_by_n):
                     assert out.n <= record.input_graph.n
             ran += 1
     assert ran > 0
+
+
+def test_reduce_with_one_mi_candidate_above_12_vertices():
+    # the only maximal MI subgraph with an internal vertex has 13 vertices, more
+    # than canonical_form takes; a single candidate needs no tie-break
+    g = henneberg_ii_plus_triangle()
+    assert sorted(len(w) for w in mi_proper_subgraphs(g)) == [3, 13]
+    trace = reduce_to_terminal(g)
+    assert [record.kind for record in trace.steps] == [StepKind.SURGERY]
+    assert trace.steps[0].detail["replaced"].n == 13
+    assert trace.steps[0].detail["attachment"] == (0, 1, 2)
+    assert [(t.n, kind) for t, kind in trace.terminals] == [(6, TerminalKind.DOUBLET)]
 
 
 def test_contraction_block_split_instance():

@@ -13,7 +13,7 @@ from rigicert.graph import (
     is_planar,
 )
 from rigicert.rigidity import (
-    SurgerySpec,
+    attachment_vertices,
     enumerate_laman,
     fan_edges,
     henneberg_children,
@@ -22,7 +22,6 @@ from rigicert.rigidity import (
     is_contractible,
     is_independent,
     is_laman,
-    make_surgery_spec,
     maximal_mi_subgraph,
     mi_proper_subgraphs,
     surgery,
@@ -214,7 +213,7 @@ def test_fan_edges_shapes():
 def test_surgery_prism_face():
     g = prism()
     r = induced_subgraph(g, {0, 1, 2})
-    result = surgery(make_surgery_spec(g, r))
+    result = surgery(g, r)
     assert result == g  # replacing a triangle face by a triangle
 
 
@@ -222,14 +221,11 @@ def test_surgery_preconditions_named():
     g = prism()
     bad = Graph({0, 1, 2}, [(0, 1), (0, 2)])  # not the induced subgraph
     with pytest.raises(InputError, match="vertex induced"):
-        surgery(SurgerySpec(g, bad, (0, 1, 2)))
-    r = induced_subgraph(g, {0, 1, 2})
-    with pytest.raises(InputError, match="attachment"):
-        surgery(SurgerySpec(g, r, (0, 1, 3)))
+        surgery(g, bad)
     with pytest.raises(InputError, match="3-connected"):
-        surgery(make_surgery_spec(two_triangles().with_edges([]), induced_subgraph(two_triangles(), {0, 1, 2})))
+        surgery(two_triangles().with_edges([]), induced_subgraph(two_triangles(), {0, 1, 2}))
     with pytest.raises(InputError, match="maximally independent"):
-        surgery(SurgerySpec(k4(), induced_subgraph(k4(), {0, 1, 2}), (0, 1, 2)))
+        surgery(k4(), induced_subgraph(k4(), {0, 1, 2}))
 
 
 def test_surgery_preserves_rigidity_properties(census_by_n):
@@ -242,12 +238,11 @@ def test_surgery_preserves_rigidity_properties(census_by_n):
             r = maximal_mi_subgraph(g)
             if r is None:
                 continue
-            spec = make_surgery_spec(g, r)
-            h = surgery(spec)
+            h = surgery(g, r)
             assert freedom_number(h) == freedom_number(g)
             assert is_laman(h)
             assert is_m_connected(h, 3)
-            cyc = spec.attachment_vertices
+            cyc = attachment_vertices(g, r.vertices)
             for i in range(len(cyc)):
                 assert is_contractible(h, (cyc[i], cyc[(i + 1) % len(cyc)]))
             checked += 1
