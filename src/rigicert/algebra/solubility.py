@@ -1,8 +1,10 @@
 """Cycle-type sieving for non-solubility certificates.
 
 Factorization degree patterns of an integer polynomial modulo good primes are
-cycle types of elements of its Galois group (Dedekind).  Three sound rules can
-refute solubility of a transitive group from observed cycle types:
+cycle types of elements of its Galois group (Dedekind).  A prime q is good when
+it does not divide the leading coefficient and p mod q is squarefree; the
+sieve reads only those reductions.  Three sound rules can refute solubility of
+a transitive group from observed cycle types:
 
   jordan_prime_cycle   a p-cycle with n/2 < p <= n-3, p prime: the group is
                        primitive and contains the alternating group.
@@ -13,6 +15,9 @@ refute solubility of a transitive group from observed cycle types:
                        for n = 6 and 8: the two imprimitive wreath products
                        per degree, plus the affine semilinear group AGL(1,8)
                        twisted by Frobenius at degree 8).
+
+At degrees 2, 3, 4, 5 and 7 no cycle type meets any rule, so the certificate
+ends INCONCLUSIVE at once there, without scanning a prime.
 """
 
 from __future__ import annotations
@@ -182,13 +187,6 @@ def _rule_hit(multiset: tuple[int, ...], n: int) -> str | None:
     return None
 
 
-@dataclass(frozen=True)
-class CycleTypeReport:
-    prime: int
-    degree_multiset: tuple[int, ...]
-    squarefree: bool
-
-
 class SolubilityVerdict(Enum):
     NOT_SOLUBLE = "NOT_SOLUBLE"
     INCONCLUSIVE = "INCONCLUSIVE"
@@ -203,12 +201,33 @@ class SolubilityCertificate:
     prime_bound: int
 
 
-def _sieve_reports(p: UniPoly, prime_bound: int) -> Iterator[CycleTypeReport]:
-    for q in primes_up_to(prime_bound):
-        if p.leading % q == 0:
-            continue
-        multiset, squarefree = degree_multiset_mod(p, q)
-        yield CycleTypeReport(q, multiset, squarefree)
+def _partitions(n: int) -> Iterator[tuple[int, ...]]:
+    """Every partition of n as an ascending tuple, the cycle types of S_n.
+
+    Walks the parts in descending order: take one from the last part above
+    1 and refill the tail with parts of that size."""
+    parts = [n]
+    while True:
+        yield tuple(reversed(parts))
+        ones = 0
+        while parts and parts[-1] == 1:
+            parts.pop()
+            ones += 1
+        if not parts:
+            return
+        parts[-1] -= 1
+        size, rest = parts[-1], ones + 1
+        while rest > size:
+            parts.append(size)
+            rest -= size
+        parts.append(rest)
+
+
+@lru_cache(maxsize=None)
+def _degree_can_refute(n: int) -> bool:
+    """Whether some cycle type of degree n meets a rule.  Where none does, no
+    prime can give a witness, and the certificate skips the sweep."""
+    return any(_rule_hit(t, n) is not None for t in _partitions(n))
 
 
 def nonsolubility_certificate(p: UniPoly, prime_bound: int = 10000) -> SolubilityCertificate:
@@ -220,16 +239,14 @@ def nonsolubility_certificate(p: UniPoly, prime_bound: int = 10000) -> Solubilit
         raise InputError("polynomial is reducible; factor first and certify the pieces")
     n = p.degree
     rules = tuple(rules_for_degree(n))
-    for report in _sieve_reports(p, prime_bound):
-        if not report.squarefree:
-            continue
-        rule = _rule_hit(report.degree_multiset, n)
-        if rule is not None:
-            return SolubilityCertificate(
-                p,
-                SolubilityVerdict.NOT_SOLUBLE,
-                (report.prime, report.degree_multiset, rule),
-                rules,
-                prime_bound,
-            )
+    if _degree_can_refute(n):
+        for q in primes_up_to(prime_bound):
+            if p.leading % q == 0:
+                continue
+            multiset = degree_multiset_mod(p, q)
+            if multiset is None:
+                continue
+            rule = _rule_hit(multiset, n)
+            if rule is not None:
+                return SolubilityCertificate(p, SolubilityVerdict.NOT_SOLUBLE, (q, multiset, rule), rules, prime_bound)
     return SolubilityCertificate(p, SolubilityVerdict.INCONCLUSIVE, None, rules, prime_bound)

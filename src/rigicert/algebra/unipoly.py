@@ -332,35 +332,9 @@ def gf_derivative(f: list[int], q: int) -> list[int]:
     return gf_strip([(i * c) % q for i, c in enumerate(f)][1:])
 
 
-def gf_squarefree_list(f: list[int], q: int) -> list[tuple[list[int], int]]:
-    """Squarefree decomposition of a monic polynomial over GF(q)."""
-    out: list[tuple[list[int], int]] = []
-
-    def recurse(f: list[int], outer_mult: int):
-        d = gf_derivative(f, q)
-        if not d:
-            # f is a polynomial in x^q: take the q-th root (Frobenius fixes GF(q))
-            root = [f[i] for i in range(0, len(f), q)]
-            recurse(gf_strip(root), outer_mult * q)
-            return
-        w = gf_gcd(f, d, q)
-        v, _ = gf_divmod(f, w, q)  # product of squarefree part
-        i = 1
-        while len(v) > 1:
-            h = gf_gcd(v, w, q)
-            factor, _ = gf_divmod(v, h, q)
-            if len(factor) > 1:
-                out.append((factor, i * outer_mult))
-            v = h
-            w, _ = gf_divmod(w, h, q)
-            i += 1
-        if len(w) > 1:
-            # leftover factors all have multiplicity divisible by q; the
-            # recursive call sees a vanishing derivative and takes the root
-            recurse(w, outer_mult)
-
-    recurse(gf_monic(f, q), 1)
-    return out
+def gf_is_squarefree(f: list[int], q: int) -> bool:
+    """Whether f has no repeated factor over GF(q): gcd(f, f') = 1."""
+    return len(gf_gcd(f, gf_derivative(f, q), q)) == 1
 
 
 def gf_distinct_degree(f: list[int], q: int) -> list[tuple[list[int], int]]:
@@ -414,23 +388,22 @@ def gf_factor_squarefree(f: list[int], q: int, rng: random.Random) -> list[list[
     return out
 
 
-def degree_multiset_mod(p: UniPoly, q: int) -> tuple[tuple[int, ...], bool]:
-    """Degrees (with multiplicity) of the irreducible factors of p mod q.
+def degree_multiset_mod(p: UniPoly, q: int) -> tuple[int, ...] | None:
+    """Sorted degrees of the irreducible factors of p mod q, or None where
+    p mod q is not squarefree: by Dedekind's theorem only squarefree
+    reductions give Frobenius cycle types, so no caller reads the others.
 
-    Requires q not dividing the leading coefficient.  The flag reports whether
-    p mod q is squarefree.
+    Requires q not dividing the leading coefficient.
     """
-    f = gf_from_int(p.coeffs, q)
-    if len(f) != len(p.coeffs):
+    if p.leading % q == 0:
         raise InputError(f"{q} divides the leading coefficient")
+    f = gf_monic(gf_from_int(p.coeffs, q), q)
+    if not gf_is_squarefree(f, q):
+        return None
     degrees: list[int] = []
-    squarefree = True
-    for part, mult in gf_squarefree_list(f, q):
-        if mult > 1:
-            squarefree = False
-        for prod, d in gf_distinct_degree(part, q):
-            degrees.extend([d] * ((len(prod) - 1) // d * mult))
-    return tuple(sorted(degrees)), squarefree
+    for prod, d in gf_distinct_degree(f, q):
+        degrees.extend([d] * ((len(prod) - 1) // d))
+    return tuple(sorted(degrees))
 
 
 # ---------------------------------------------------------------------------
@@ -506,11 +479,11 @@ def _choose_factoring_prime(f: UniPoly) -> tuple[int, list[list[int]]]:
     """An odd prime where f stays squarefree; prefers few modular factors."""
     best: tuple[int, list[list[int]]] | None = None
     found = 0
-    for q in _prime_stream(3):
+    for q in filter(is_prime, itertools.count(3, 2)):
         if f.leading % q == 0:
             continue
         fq = gf_from_int(f.coeffs, q)
-        if len(gf_gcd(fq, gf_derivative(fq, q), q)) != 1:
+        if not gf_is_squarefree(fq, q):
             continue
         rng = random.Random(q)
         factors = gf_factor_squarefree(gf_monic(fq, q), q, rng)
@@ -520,14 +493,6 @@ def _choose_factoring_prime(f: UniPoly) -> tuple[int, list[list[int]]]:
         if found >= 4 or len(best[1]) == 1:
             return best
     raise InternalInvariantError("ran out of primes")
-
-
-def _prime_stream(start: int):
-    q = start
-    while True:
-        if is_prime(q):
-            yield q
-        q += 2
 
 
 def factor_squarefree_primitive(f: UniPoly) -> list[UniPoly]:

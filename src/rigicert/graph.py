@@ -143,15 +143,6 @@ class Block:
     def is_triangle(self) -> bool:
         return self.subgraph.n == 3 and self.subgraph.e == 3
 
-    def key(self) -> tuple:
-        """Order-insensitive identity used to compare decompositions."""
-        return (
-            self.subgraph.vertices,
-            self.subgraph.edges,
-            self.virtual_edges,
-            self.redundant_flags,
-        )
-
 
 @dataclass(frozen=True)
 class SeparationEvent:
@@ -168,9 +159,6 @@ class BlockDecomposition:
     blocks: tuple[Block, ...]
     separation_history: tuple[SeparationPair, ...]
     events: tuple[SeparationEvent, ...] = field(default=(), compare=False)
-
-    def block_keys(self) -> frozenset:
-        return frozenset(b.key() for b in self.blocks)
 
 
 def freedom_number(g: Graph) -> int:

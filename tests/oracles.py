@@ -9,7 +9,6 @@ from __future__ import annotations
 import itertools
 
 from rigicert.algebra.multipoly import MultiPoly
-from rigicert.algebra.solubility import CycleTypeReport
 from rigicert.algebra.unipoly import UniPoly, degree_multiset_mod, poly_gcd, primes_up_to
 from rigicert.errors import DegenerateInputError, InputError, UnsupportedSizeError
 from rigicert.graph import Graph, canonical_form
@@ -184,12 +183,12 @@ def poly_is_not_squarefree(p: UniPoly) -> bool:
     return poly_gcd(p, p.derivative()).degree > 0
 
 
-def frobenius_cycle_types(p: UniPoly, prime_bound: int) -> tuple[list[CycleTypeReport], list[int]]:
-    """Degree multisets of p modulo every prime up to the bound.
+def frobenius_cycle_types(p: UniPoly, prime_bound: int) -> tuple[list[tuple[int, tuple[int, ...] | None]], list[int]]:
+    """(prime, degree multiset) for p modulo every prime up to the bound.
 
     Primes dividing the leading coefficient are skipped and returned in the
     second list; primes where the reduction is not squarefree stay in the
-    report with the flag down (their types are not Frobenius cycle types).
+    report with None (they give no Frobenius cycle type).
     """
     if p.is_zero() or p.degree < 1:
         raise InputError("cycle types need a nonconstant polynomial")
@@ -200,5 +199,5 @@ def frobenius_cycle_types(p: UniPoly, prime_bound: int) -> tuple[list[CycleTypeR
         if p.leading % q == 0:
             skipped.append(q)
             continue
-        reports.append(CycleTypeReport(q, *degree_multiset_mod(p, q)))
+        reports.append((q, degree_multiset_mod(p, q)))
     return reports, skipped

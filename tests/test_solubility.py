@@ -53,12 +53,15 @@ def test_soluble_cycle_types_no_five_cycles():
 
 def test_frobenius_cycle_types_examples():
     reports, skipped = frobenius_cycle_types(UniPoly([1, 0, 1]), 20)
-    by_prime = {r.prime: r for r in reports}
-    assert by_prime[3].degree_multiset == (2,)
-    assert by_prime[5].degree_multiset == (1, 1)
+    by_prime = dict(reports)
+    assert by_prime[3] == (2,)
+    assert by_prime[5] == (1, 1)
     assert skipped == []
-    for r in reports:
-        assert sum(r.degree_multiset) == 2
+    # x^2 + 1 = (x + 1)^2 mod 2 is the only reduction that is not squarefree
+    assert [q for q, multiset in reports if multiset is None] == [2]
+    for q, multiset in reports:
+        if multiset is not None:
+            assert sum(multiset) == 2
 
     reports, skipped = frobenius_cycle_types(UniPoly([3, 10]), 11)
     assert skipped == [2, 5]
@@ -155,11 +158,40 @@ def test_rule_hits_directly():
     assert _rule_hit((1, 6), 7) is None  # 7 is prime (a prime power)
 
 
+def test_refutation_free_degrees():
+    # every cycle type of S_n, enumerated by sympy independently of the sieve
+    from sympy.utilities.iterables import partitions
+
+    from rigicert.algebra.solubility import _degree_can_refute, _partitions, _rule_hit
+
+    free = set()
+    for n in range(2, 21):
+        types = {tuple(sorted(d for d, k in part.items() for _ in range(k))) for part in partitions(n)}
+        assert sorted(_partitions(n)) == sorted(types)
+        if not any(_rule_hit(t, n) for t in types):
+            free.add(n)
+        assert _degree_can_refute(n) == (n not in free)
+    assert free == {2, 3, 4, 5, 7}
+
+
+def test_refutation_free_degree_scans_no_prime(monkeypatch):
+    from rigicert.algebra import solubility
+
+    def no_sweep(p, q):
+        raise AssertionError("a degree without a refuting cycle type scanned a prime")
+
+    monkeypatch.setattr(solubility, "degree_multiset_mod", no_sweep)
+    p = UniPoly([-1, -1, 0, 0, 0, 0, 0, 1])  # x^7 - x - 1, irreducible with group S7
+    cert = nonsolubility_certificate(p, 10000)
+    assert cert.verdict == SolubilityVerdict.INCONCLUSIVE
+    assert cert.witness is None and cert.prime_bound == 10000
+    assert cert.rules_checked == (RULE_JORDAN, RULE_BURNSIDE)
+
+
 def test_inert_prime_appears_for_generic_irreducibles():
     # polynomials with full symmetric Galois group have n-cycles, so some
     # good prime below a generous bound must show the one-block multiset
     rng = random.Random(443)
-    from rigicert.algebra.solubility import _sieve_reports
     from rigicert.algebra.unipoly import is_irreducible
 
     found = 0
@@ -169,7 +201,8 @@ def test_inert_prime_appears_for_generic_irreducibles():
         p = UniPoly(coeffs)
         if not is_irreducible(p):
             continue
-        multisets = {r.degree_multiset for r in _sieve_reports(p, 3000) if r.squarefree}
+        reports, _ = frobenius_cycle_types(p, 3000)
+        multisets = {multiset for _, multiset in reports if multiset is not None}
         assert all(sum(m) == deg for m in multisets)
         assert (deg,) in multisets
         found += 1

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from rigicert.algebra.unipoly import (
     factor_over_q,
     gf_factor_squarefree,
     gf_from_int,
+    gf_is_squarefree,
     gf_monic,
     is_irreducible,
     is_prime,
@@ -143,37 +145,68 @@ def test_factor_matches_sympy_structure():
         assert mine == theirs
 
 
+def sympy_degrees_mod(p: UniPoly, q: int) -> list[tuple[int, int]]:
+    """(degree, multiplicity) of each irreducible factor of p mod q, by sympy."""
+    x = sympy.symbols("x")
+    factors = sympy.factor_list(sympy.Poly(list(reversed(p.coeffs)), x, modulus=q))[1]
+    return [(sympy.Poly(f, x).degree(), m) for f, m in factors]
+
+
 def test_degree_multiset_mod():
     # x^2 + 1 is irreducible mod 3
-    assert degree_multiset_mod(UniPoly([1, 0, 1]), 3) == ((2,), True)
+    assert degree_multiset_mod(UniPoly([1, 0, 1]), 3) == (2,)
     # x^4 + 1 is never irreducible mod an odd prime
     p = UniPoly([1, 0, 0, 0, 1])
     for q in primes_up_to(100):
         if q == 2:
             continue
-        multiset, squarefree = degree_multiset_mod(p, q)
+        multiset = degree_multiset_mod(p, q)
         assert sum(multiset) == 4
         assert multiset != (4,)
-    # non-squarefree reduction flagged: (x-1)^2 mod anything
-    multiset, squarefree = degree_multiset_mod(UniPoly([1, -2, 1]), 5)
-    assert multiset == (1, 1) and not squarefree
+    # a reduction that is not squarefree gives no multiset: (x-1)^2 mod anything
+    assert degree_multiset_mod(UniPoly([1, -2, 1]), 5) is None
+    assert any(m > 1 for _, m in sympy_degrees_mod(UniPoly([1, -2, 1]), 5))
     with pytest.raises(InputError):
         degree_multiset_mod(UniPoly([1, 5]), 5)
+    # a nonzero constant has no factors; zero has no leading coefficient
+    assert degree_multiset_mod(UniPoly([3]), 5) == ()
+    with pytest.raises(InputError):
+        degree_multiset_mod(UniPoly(), 5)
 
 
 def test_degree_multiset_against_sympy():
     rng = random.Random(229)
-    x = sympy.symbols("x")
     for _ in range(60):
         p = random_poly(rng, max_deg=7, span=12)
         for q in (2, 3, 5, 7, 11, 13):
             if p.leading % q == 0:
                 continue
-            mine, _ = degree_multiset_mod(p, q)
-            ref = []
-            for f, m in sympy.factor_list(sympy.Poly(list(reversed(p.coeffs)), x, modulus=q))[1]:
-                ref.extend([sympy.Poly(f, x).degree()] * m)
-            assert list(mine) == sorted(ref)
+            mine = degree_multiset_mod(p, q)
+            ref = sympy_degrees_mod(p, q)
+            if mine is None:
+                assert any(m > 1 for _, m in ref)
+            else:
+                assert all(m == 1 for _, m in ref)
+                assert list(mine) == sorted(d for d, _ in ref)
+
+
+def test_degree_multisets_of_published_factors():
+    # (prime, multiset or None) over every good prime up to 10^4, as the
+    # recursive GF(q) squarefree decomposition computed it; a faster kernel
+    # must reproduce the list exactly
+    from test_systems import DEG6_FACTOR, DEG8_FACTOR
+
+    expected = {
+        6: (1222, [31, 47, 193, 241, 3079, 3739], "8d407695da33d4336afe7081ee9e71f84654221c663035bb0edb70176dc9da16"),
+        8: (1223, [5, 11, 43, 47, 67, 367, 5861, 6661], "2fbf4bf408dcd991cf0bdef613f0d5c811111e500ba2e9d09ba544ee444c20d9"),
+    }
+    for coeffs in (DEG6_FACTOR, DEG8_FACTOR):
+        p = UniPoly(coeffs)
+        rows = [(q, degree_multiset_mod(p, q)) for q in primes_up_to(10000) if p.leading % q]
+        count, not_squarefree, digest = expected[p.degree]
+        assert len(rows) == count
+        assert [q for q, multiset in rows if multiset is None] == not_squarefree
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
 
 
 def test_gf_factor_squarefree_products():
@@ -185,9 +218,7 @@ def test_gf_factor_squarefree_products():
             if len(fq) < 2:
                 continue
             fq = gf_monic(fq, q)
-            from rigicert.algebra.unipoly import gf_derivative, gf_gcd
-
-            if len(gf_gcd(fq, gf_derivative(fq, q), q)) != 1:
+            if not gf_is_squarefree(fq, q):
                 continue
             factors = gf_factor_squarefree(fq, q, random.Random(1))
             prod = [1]
