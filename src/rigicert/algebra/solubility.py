@@ -17,7 +17,8 @@ a transitive group from observed cycle types:
                        twisted by Frobenius at degree 8).
 
 At degrees 2, 3, 4, 5 and 7 no cycle type meets any rule, so the certificate
-ends INCONCLUSIVE at once there, without scanning a prime.
+ends INCONCLUSIVE at once there, without scanning a prime.  Prime bounds above
+MAX_PRIME_BOUND are refused with InputError.
 """
 
 from __future__ import annotations
@@ -31,6 +32,10 @@ from ..errors import InputError
 from .unipoly import UniPoly, degree_multiset_mod, factor_over_q, is_prime, primes_up_to
 
 Permutation = tuple[int, ...]
+
+#: Largest prime bound a certificate accepts: the sieve of primes up to the
+#: bound takes one byte per integer, and the GF(q) kernel needs deg * q^2 < 2^63.
+MAX_PRIME_BOUND = 10**6
 
 
 def _compose(a: Permutation, b: Permutation) -> Permutation:
@@ -233,6 +238,8 @@ def _degree_can_refute(n: int) -> bool:
 def nonsolubility_certificate(p: UniPoly, prime_bound: int = 10000) -> SolubilityCertificate:
     """Refute solubility of the Galois group of an irreducible polynomial, or
     report INCONCLUSIVE.  Sound: never NOT_SOLUBLE for a soluble group."""
+    if prime_bound > MAX_PRIME_BOUND:
+        raise InputError(f"prime bound {prime_bound} exceeds the limit {MAX_PRIME_BOUND}")
     p = p.normalized()
     factors = factor_over_q(p)
     if len(factors) != 1 or factors[0][1] != 1:

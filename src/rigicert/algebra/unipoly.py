@@ -4,13 +4,23 @@ The factorization pipeline is the classical one: Yun squarefree decomposition,
 Cantor-Zassenhaus factorization modulo a good prime, quadratic multifactor
 Hensel lifting past the Mignotte bound, and subset recombination.  Everything
 runs on Python's arbitrary-precision integers.
+
+The distinct-degree step over GF(q) follows von zur Gathen & Shoup: x^q mod f
+is computed once, the rows x^(iq) mod f of the Frobenius matrix follow, and
+each degree then costs one vector-matrix product h -> h(x^q) instead of a
+modular q-th power.  That kernel packs each coefficient vector into 64-bit
+slots of one Python int (Kronecker substitution), so products and sums run in
+C big-int arithmetic.  A slot sums at most deg f products of two residues, so
+the kernel requires deg f * q^2 < 2^63 and raises InputError beyond it.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
+import struct
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -265,6 +275,8 @@ def gf_mul(a: list[int], b: list[int], q: int) -> list[int]:
 
 
 def gf_divmod(a: list[int], b: list[int], q: int) -> tuple[list[int], list[int]]:
+    """(quotient, remainder), reducing mod q only the coefficient that becomes
+    the next leading term, then the remainder once at the end."""
     if not b:
         raise InputError("gf division by zero")
     inv = pow(b[-1], -1, q)
@@ -273,14 +285,13 @@ def gf_divmod(a: list[int], b: list[int], q: int) -> tuple[list[int], list[int]]
     quo = [0] * max(0, len(rem) - db)
     for i in range(len(rem) - 1, db - 1, -1):
         c = rem[i] % q
-        if c == 0:
-            rem[i] = 0
-            continue
-        f = (c * inv) % q
-        quo[i - db] = f
-        for j in range(db + 1):
-            rem[i - db + j] = (rem[i - db + j] - f * b[j]) % q
-    return gf_strip(quo), gf_strip([c % q for c in rem])
+        if c:
+            f = (c * inv) % q
+            quo[i - db] = f
+            shift = i - db
+            for j in range(db):
+                rem[shift + j] -= f * b[j]
+    return gf_strip(quo), gf_strip([c % q for c in rem[:db]])
 
 
 def gf_rem(a: list[int], b: list[int], q: int) -> list[int]:
@@ -337,8 +348,69 @@ def gf_is_squarefree(f: list[int], q: int) -> bool:
     return len(gf_gcd(f, gf_derivative(f, q), q)) == 1
 
 
+#: Each packed coefficient of the Frobenius kernel is one unsigned 64-bit slot.
+_SLOT_LIMIT = 1 << 63
+
+
+def _pack(v: Sequence[int]) -> int:
+    """Kronecker packing: coefficient i goes into 64-bit slot i of one int."""
+    return int.from_bytes(struct.pack(f"<{len(v)}Q", *v), "little")
+
+
+def _unpack(x: int, slots: int, q: int) -> list[int]:
+    """The first `slots` packed coefficients, each reduced mod q."""
+    return [c % q for c in struct.unpack(f"<{slots}Q", x.to_bytes(8 * slots, "little"))]
+
+
+def _frobenius_rows(f: list[int], q: int) -> list[int]:
+    """Packed x^(iq) mod f for i < n = deg f >= 2, f monic: the rows of the
+    matrix of h -> h^q = h(x^q) on GF(q)[x]/(f).
+
+    Products run on packed ints, reduced with a packed table of x^k mod f
+    for k = n..2n-2.  A slot sums at most n products of two coefficients
+    below q, so it stays below n*q^2 < 2^63 (checked by the caller).
+    """
+    n = len(f) - 1
+    top = [(-c) % q for c in f[:-1]]  # x^n mod f
+    table = []
+    r = top
+    for _ in range(n - 1):
+        table.append(_pack(r))
+        lead = r[-1]
+        r = [0] + r[:-1]
+        if lead:
+            r = [(c + lead * t) % q for c, t in zip(r, top)]
+
+    def mulmod(a: int, b: int) -> int:
+        c = _unpack(a * b, 2 * n - 1, q)
+        acc = _pack(c[:n]) + sum(map(operator.mul, c[n:], table))
+        return _pack(_unpack(acc, n, q))
+
+    x = _pack([0, 1] + [0] * (n - 2))
+    xq = x
+    for bit in bin(q)[3:]:  # left-to-right square-and-multiply
+        xq = mulmod(xq, xq)
+        if bit == "1":
+            xq = mulmod(xq, x)
+    rows = [_pack([1] + [0] * (n - 1)), xq]
+    while len(rows) < n:
+        rows.append(mulmod(rows[-1], xq))
+    return rows
+
+
 def gf_distinct_degree(f: list[int], q: int) -> list[tuple[list[int], int]]:
-    """[(product of irreducible factors of degree d, d)] for monic squarefree f."""
+    """[(product of irreducible factors of degree d, d)] for monic squarefree f.
+
+    h runs through x^(q^d) mod f, one product with the Frobenius matrix per
+    degree.  It stays reduced mod f, not mod the shrinking cofactor `work`:
+    work divides f, so gcd(h - x, work) is the same.
+    """
+    n = len(f) - 1
+    if n * q * q >= _SLOT_LIMIT:
+        raise InputError(
+            f"GF({q}) kernel needs deg * q^2 < 2^63; degree {n} at modulus {q} exceeds it"
+        )
+    rows = _frobenius_rows(f, q) if n >= 2 else []
     out = []
     h = [0, 1]  # x
     work = list(f)
@@ -348,12 +420,11 @@ def gf_distinct_degree(f: list[int], q: int) -> list[tuple[list[int], int]]:
         if 2 * d > len(work) - 1:
             out.append((work, len(work) - 1))
             break
-        h = gf_pow_mod(h, q, work, q)
+        h = gf_strip(_unpack(sum(map(operator.mul, h, rows)), n, q))
         g = gf_gcd(gf_sub(h, [0, 1], q), work, q)
         if len(g) > 1:
             out.append((g, d))
             work, _ = gf_divmod(work, g, q)
-            h = gf_rem(h, work, q)
     return out
 
 

@@ -13,17 +13,8 @@ import json
 import sys
 import time
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .algebra.multipoly import MultiPoly, as_fraction
-from .algebra.solubility import SolubilityCertificate, nonsolubility_certificate
-from .algebra.systems import (
-    K33_SPECIAL_DISTANCES,
-    eliminate_to_x3,
-    k33_system,
-    square_eliminate_y,
-    x1_branch_report,
-)
-from .algebra.unipoly import UniPoly, factor_over_q
 from .decomposition import (
     StepRecord,
     decompose_unique,
@@ -33,6 +24,13 @@ from .decomposition import (
 from .errors import InputError, InternalInvariantError, ParseError
 from .graph import Block, Graph, format_graph, freedom_number, is_m_connected, is_planar, parse_graph
 from .rigidity import enumerate_laman, is_basic, is_independent
+
+if TYPE_CHECKING:
+    # rigicert.algebra loads inside the k33 command only, so that the graph
+    # commands do not pay its import time
+    from .algebra.multipoly import MultiPoly
+    from .algebra.solubility import SolubilityCertificate
+    from .algebra.unipoly import UniPoly
 
 
 def _edge_list(edges) -> list[list[int]]:
@@ -175,6 +173,8 @@ def cmd_reduce(args) -> dict:
 
 
 def _parse_distances(text: str) -> list[Fraction]:
+    from .algebra.multipoly import as_fraction
+
     parts = [p for chunk in text.split(",") for p in chunk.split()]
     try:
         values = [as_fraction(p) for p in parts]
@@ -186,6 +186,16 @@ def _parse_distances(text: str) -> list[Fraction]:
 
 
 def cmd_k33(args) -> dict:
+    from .algebra.solubility import nonsolubility_certificate
+    from .algebra.systems import (
+        K33_SPECIAL_DISTANCES,
+        eliminate_to_x3,
+        k33_system,
+        square_eliminate_y,
+        x1_branch_report,
+    )
+    from .algebra.unipoly import factor_over_q
+
     distances = (
         list(K33_SPECIAL_DISTANCES)
         if args.distances is None

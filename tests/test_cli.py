@@ -1,5 +1,8 @@
 import json
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 from rigicert import cli
 from rigicert.cli import main
@@ -282,6 +285,19 @@ def test_k33_bad_distances(capsys):
     assert code == 1
     code, _, err = run_cli(capsys, "k33", "--distances", "1,1,1,1,-1,4,9/16,9/4")
     assert code == 2  # nonpositive distance is a precondition failure
+
+
+def test_k33_prime_bound_limit(capsys):
+    code, out, err = run_cli(capsys, "k33", "--prime-bound", "1000000000000")
+    assert code == 2 and out == ""
+    assert err == "precondition failed: prime bound 1000000000000 exceeds the limit 1000000\n"
+
+
+def test_graph_commands_do_not_import_algebra():
+    src = str(Path(cli.__file__).parents[1])
+    code = f"import sys; sys.path.insert(0, {src!r}); import rigicert.cli; print('rigicert.algebra' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 def test_reports_deterministic(tmp_path, capsys):

@@ -96,6 +96,15 @@ def test_certificate_requires_irreducible():
         nonsolubility_certificate(UniPoly([-1, 0, 1]), 100)
 
 
+def test_certificate_prime_bound_limit():
+    from rigicert.algebra.solubility import MAX_PRIME_BOUND
+
+    p = UniPoly(DEG6_FACTOR)
+    assert nonsolubility_certificate(p, MAX_PRIME_BOUND).verdict == SolubilityVerdict.NOT_SOLUBLE
+    with pytest.raises(InputError, match=f"limit {MAX_PRIME_BOUND}"):
+        nonsolubility_certificate(p, MAX_PRIME_BOUND + 1)
+
+
 def test_soluble_controls_stay_inconclusive():
     # cyclotomic polynomials of degree <= 8 (abelian, hence soluble)
     x = sympy.symbols("x")

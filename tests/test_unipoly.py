@@ -9,10 +9,14 @@ from rigicert.algebra.unipoly import (
     UniPoly,
     degree_multiset_mod,
     factor_over_q,
+    gf_add,
+    gf_distinct_degree,
+    gf_divmod,
     gf_factor_squarefree,
     gf_from_int,
     gf_is_squarefree,
     gf_monic,
+    gf_mul,
     is_irreducible,
     is_prime,
     poly_gcd,
@@ -227,6 +231,51 @@ def test_gf_factor_squarefree_products():
             for f in factors:
                 prod = gf_mul(prod, f, q)
             assert prod == fq
+
+
+def test_gf_divmod_identity():
+    # a = quo * b + rem with deg rem < deg b, every coefficient in [0, q);
+    # 3^64 is a Hensel-sized modulus, where only a monic b is invertible
+    rng = random.Random(239)
+    for q in (2, 3, 9973, 3**64):
+        for _ in range(80):
+            lb = rng.randint(1, 8)
+            lead = 1 if q == 3**64 else rng.randrange(1, q)
+            b = [rng.randrange(q) for _ in range(lb - 1)] + [lead]
+            a = gf_from_int([rng.randrange(q) for _ in range(rng.randint(0, 2 * lb + 4))], q)
+            quo, rem = gf_divmod(a, b, q)
+            assert len(rem) < len(b)
+            assert all(0 <= c < q for c in quo + rem)
+            assert quo[-1:] != [0] and rem[-1:] != [0]  # both stripped
+            assert gf_add(gf_mul(quo, b, q), rem, q) == a
+            if len(a) < len(b):
+                assert (quo, rem) == ([], a)
+    # a constant divisor leaves no remainder
+    assert gf_divmod([4, 0, 3], [2], 5) == ([2, 0, 4], [])
+
+
+def test_gf_distinct_degree_against_sympy():
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_ddf_zassenhaus
+
+    rng = random.Random(241)
+    for q in (2, 3, 5, 23, 9973):
+        checked = 0
+        for n in range(1, 25):
+            for _ in range(3):
+                f = [rng.randrange(q) for _ in range(n)] + [1]
+                if not gf_is_squarefree(f, q):
+                    continue
+                theirs = gf_ddf_zassenhaus(list(reversed(f)), q, ZZ)
+                assert gf_distinct_degree(f, q) == [(list(reversed(g)), d) for g, d in theirs]
+                checked += 1
+        assert checked >= 24
+
+
+def test_gf_distinct_degree_modulus_limit():
+    # packed slots hold sums below deg * q^2, which must stay below 2^63
+    with pytest.raises(InputError, match="2\\^63"):
+        gf_distinct_degree([1, 0, 0, 0, 1], 2**31 - 1)
 
 
 def test_primes_up_to():
