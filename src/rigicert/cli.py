@@ -16,14 +16,17 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .decomposition import (
+    BlockSplitDetail,
+    ContractionDetail,
     StepRecord,
+    SurgeryDetail,
     decompose_unique,
     qs_classify,
     reduce_to_terminal,
 )
 from .errors import InputError, InternalInvariantError, ParseError
 from .graph import Block, Graph, format_graph, freedom_number, is_m_connected, is_planar, parse_graph
-from .rigidity import enumerate_laman, is_basic, is_independent
+from .rigidity import _is_basic, _PebbleGame, enumerate_laman
 
 if TYPE_CHECKING:
     # rigicert.algebra loads inside the k33 command only, so that the graph
@@ -80,21 +83,17 @@ def certificate_json(cert: SolubilityCertificate) -> dict:
 
 
 def step_json(record: StepRecord) -> dict:
-    detail: dict = {}
-    if record.kind.value == "SURGERY":
-        detail = {
-            "replaced": graph_json(record.detail["replaced"]),
-            "attachment": list(record.detail["attachment"]),
-        }
-    elif record.kind.value == "CONTRACTION":
-        detail = {"edge": list(record.detail["edge"])}
-    elif record.kind.value == "BLOCK_SPLIT":
-        decomposition = record.detail["decomposition"]
-        detail = {
-            "blocks": [block_json(b) for b in decomposition.blocks],
-            "separation_history": [list(p.pair) for p in decomposition.separation_history],
-            "recursed_into": [graph_json(g) for g in record.output_graphs],
-        }
+    match record.detail:
+        case SurgeryDetail(replaced, attachment):
+            detail = {"replaced": graph_json(replaced), "attachment": list(attachment)}
+        case ContractionDetail(e):
+            detail = {"edge": list(e)}
+        case BlockSplitDetail(decomposition):
+            detail = {
+                "blocks": [block_json(b) for b in decomposition.blocks],
+                "separation_history": [list(p.pair) for p in decomposition.separation_history],
+                "recursed_into": [graph_json(g) for g in record.output_graphs],
+            }
     return {
         "kind": record.kind.value,
         "input_graph": graph_json(record.input_graph),
@@ -115,12 +114,12 @@ def _read_graph(path: str) -> Graph:
 def cmd_check(args) -> dict:
     g = _read_graph(args.graph_file)
     free = freedom_number(g)
-    independent = is_independent(g)
+    game = _PebbleGame(g)
     return {
         "free": free,
-        "independent": independent,
-        "laman": free == 0 and independent,
-        "basic": is_basic(g),
+        "independent": game.independent,
+        "laman": free == 0 and game.independent,
+        "basic": _is_basic(g, game),
         "three_connected": is_m_connected(g, 3),
         "planar": is_planar(g),
     }

@@ -17,6 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import InputError, InternalInvariantError
 from .graph import (
@@ -36,14 +37,16 @@ from .graph import (
     separation_pairs,
 )
 from .rigidity import (
+    _choose_mi_subgraph,
+    _is_contractible,
+    _is_laman,
+    _maximal_mi_sets,
+    _PebbleGame,
+    _surgery,
     attachment_vertices,
     internal_vertices,
     is_basic,
-    is_contractible,
     is_laman,
-    maximal_mi_subgraph,
-    mi_proper_subgraphs,
-    surgery,
 )
 
 
@@ -204,12 +207,33 @@ class TerminalKind(Enum):
     DOUBLET = "DOUBLET"
 
 
+# The step details are NamedTuples, not dataclasses: defining three frozen
+# dataclasses adds about 3 ms to every CLI start.
+class SurgeryDetail(NamedTuple):
+    kind = StepKind.SURGERY
+    replaced: Graph
+    attachment: tuple[int, ...]
+
+
+class ContractionDetail(NamedTuple):
+    kind = StepKind.CONTRACTION
+    edge: Edge
+
+
+class BlockSplitDetail(NamedTuple):
+    kind = StepKind.BLOCK_SPLIT
+    decomposition: BlockDecomposition
+
+
 @dataclass(frozen=True)
 class StepRecord:
-    kind: StepKind
     input_graph: Graph
     output_graphs: tuple[Graph, ...]
-    detail: dict
+    detail: SurgeryDetail | ContractionDetail | BlockSplitDetail
+
+    @property
+    def kind(self) -> StepKind:
+        return self.detail.kind
 
 
 @dataclass(frozen=True)
@@ -233,21 +257,31 @@ def reduce_step(g: Graph) -> tuple[list[Graph], list[StepRecord]]:
     round was a pure surgery on an internal-vertex-free subgraph (in which
     case the follow-up contraction shrinks it).
     """
-    _require(is_laman(g), "reduce_step requires a Laman graph")
+    game = _PebbleGame(g)
+    _require(_is_laman(g, game), "reduce_step requires a Laman graph")
     _require(is_m_connected(g, 3), "reduce_step requires a 3-connected graph")
-    r = maximal_mi_subgraph(g)
-    _require(r is not None, "reduce_step requires a non-basic graph (already terminal)")
-    _require(g.n > 6, "reduce_step requires more than 6 vertices (doublet is terminal)")
+    maximal = _maximal_mi_sets(g, game)
+    _require(bool(maximal), "reduce_step requires a non-basic graph (already terminal)")
+    return _reduce_step(g, maximal)
 
-    h = surgery(g, r)
+
+def _reduce_step(g: Graph, maximal: list[frozenset[int]]) -> tuple[list[Graph], list[StepRecord]]:
+    """`reduce_step` on a 3-connected Laman graph with the given maximal MI
+    vertex sets, of which there is at least one."""
+    _require(g.n > 6, "reduce_step requires more than 6 vertices (doublet is terminal)")
+    r = _choose_mi_subgraph(g, maximal)
+    h = _surgery(g, r)
     cycle = tuple(attachment_vertices(g, r.vertices))
-    records = [StepRecord(StepKind.SURGERY, g, (h,), {"replaced": r, "attachment": cycle})]
+    records = [StepRecord(g, (h,), SurgeryDetail(r, cycle))]
     if internal_vertices(g, r.vertices):
+        if not is_m_connected(h, 3):
+            raise InternalInvariantError("surgery produced a graph that is not 3-connected")
         return [h], records
 
+    game = _laman_game(h)
     # No candidate had an internal vertex, so the surgered graph has none
     # either; the contraction case split below relies on that, so check it.
-    for w in mi_proper_subgraphs(h):
+    for w in _maximal_mi_sets(h, game):
         if internal_vertices(h, w):
             raise InternalInvariantError(f"after surgery: MI subgraph {sorted(w)} has an internal vertex")
 
@@ -255,19 +289,19 @@ def reduce_step(g: Graph) -> tuple[list[Graph], list[StepRecord]]:
         edge(cycle[i], cycle[(i + 1) % len(cycle)]) for i in range(len(cycle))
     )
     for e in cycle_edges:
-        if not is_contractible(h, e):
+        if not _is_contractible(h, game, e):
             raise InternalInvariantError(f"surgery cycle edge {e} is not contractible")
 
     for f in h.sorted_edges():
-        if is_contractible(h, f):
+        if _is_contractible(h, game, f):
             contracted = contract_edge(h, f)
             if is_m_connected(contracted, 3):
-                records.append(StepRecord(StepKind.CONTRACTION, h, (contracted,), {"edge": f}))
+                records.append(StepRecord(h, (contracted,), ContractionDetail(f)))
                 return [contracted], records
 
     e = cycle_edges[0]
     contracted = contract_edge(h, e)
-    records.append(StepRecord(StepKind.CONTRACTION, h, (contracted,), {"edge": e}))
+    records.append(StepRecord(h, (contracted,), ContractionDetail(e)))
     decomposition = decompose_unique(contracted)
     emitted: list[Graph] = []
     for b in decomposition.blocks:
@@ -283,27 +317,40 @@ def reduce_step(g: Graph) -> tuple[list[Graph], list[StepRecord]]:
         raise InternalInvariantError("no redundant-free block to recurse into; one always exists")
     if len(emitted) > 1:  # canonical_form is capped; a lone block needs no order
         emitted.sort(key=canonical_form)
-    records.append(StepRecord(StepKind.BLOCK_SPLIT, contracted, tuple(emitted), {"decomposition": decomposition}))
+    records.append(StepRecord(contracted, tuple(emitted), BlockSplitDetail(decomposition)))
     return emitted, records
 
 
+def _laman_game(h: Graph) -> _PebbleGame:
+    """The pebble game of a graph the reduction made, which must be Laman."""
+    game = _PebbleGame(h)
+    if not _is_laman(h, game):
+        raise InternalInvariantError("the reduction produced a graph that is not Laman")
+    return game
+
+
 def reduce_to_terminal(g: Graph) -> ReductionTrace:
-    """Depth-first reduction until every branch hits a basic graph or the doublet."""
-    _require(is_laman(g), "reduction requires a Laman graph")
+    """Depth-first reduction until every branch hits a basic graph or the doublet.
+
+    Each graph's 3-connectivity is established once, when it is made, and one
+    pebble game per graph decides whether it is Laman, whether it is basic and
+    which subgraph its round replaces."""
+    root = _PebbleGame(g)
+    _require(_is_laman(g, root), "reduction requires a Laman graph")
     _require(is_m_connected(g, 3), "reduction requires a 3-connected graph")
     steps: list[StepRecord] = []
     terminals: list[tuple[Graph, TerminalKind]] = []
-    stack = [g]
+    stack = [(g, root)]
     while stack:
-        h = stack.pop()
-        if is_basic(h):
+        h, game = stack.pop()
+        maximal = _maximal_mi_sets(h, game)
+        if not maximal:
             terminals.append((h, TerminalKind.BASIC))
-            continue
-        if is_doublet(h):
+        elif h.n == 6:  # h is Laman, 3-connected and not basic: `is_doublet`
             terminals.append((h, TerminalKind.DOUBLET))
-            continue
-        children, records = reduce_step(h)
-        steps.extend(records)
-        stack.extend(reversed(children))
+        else:
+            children, records = _reduce_step(h, maximal)
+            steps.extend(records)
+            stack.extend((child, _laman_game(child)) for child in reversed(children))
     first = terminals[0]
     return ReductionTrace(tuple(steps), first[0], first[1], tuple(terminals))

@@ -3,7 +3,26 @@
 One (2,3) pebble game decides independence; restarted with one vertex's edges
 released, it finds the rigid components of G - x, which answer every maximally
 independent (MI) proper subgraph question without enumerating vertex subsets.
-All operations are pure functions over immutable graphs.
+A rigid component is the maximal tight set (2|S| - 3 edges) holding an edge,
+found by one reverse search from the free pebbles.  All operations are pure
+functions over immutable graphs.
+
+Two facts let one game per graph answer every question a reduction round asks:
+
+- Star restriction.  Let x1 be a vertex of least degree.  Every maximal MI
+  proper subgraph W is a rigid component of G - x1 (if x1 is not in W), or the
+  rigid component of G - x holding an edge x1y, for any x not in W (if x1 is
+  in W): a tight set of 3 or more vertices gives each of its vertices degree
+  >= 2 inside the set (dropping a vertex of degree <= 1 would leave more
+  than 2k - 3 edges on the other k vertices), so x1 has a neighbour y != x in
+  W, and the component of x1y in G - x is a proper tight set containing W,
+  hence W.  So only G - x1 needs every edge asked; every other G - x needs
+  only x1's star.
+- Contraction.  Let the edge uv of a Laman graph G lie in exactly one
+  triangle uvw.  G/uv has the right edge count, and a subgraph S through u
+  and v loses one edge if w is not in S and two if it is; so G/uv is Laman
+  iff no tight S of 3 or more vertices holds u and v but not w, that is iff
+  the rigid component of uv in G - w is {u, v}.
 """
 
 from __future__ import annotations
@@ -19,7 +38,6 @@ from .graph import (
     Edge,
     Graph,
     canonical_form,
-    contract_edge,
     edge,
     freedom_number,
     induced_subgraph,
@@ -82,12 +100,21 @@ class _PebbleGame:
 
     def rigid_component(self, u: int, v: int) -> frozenset[int]:
         """The rigid component holding the edge uv: with three pebbles on uv, the
-        vertices that cannot fetch a free pebble from outside uv."""
+        vertices that cannot fetch a free pebble from outside uv, found by one
+        search against the orientation from the free pebbles."""
         if not self.gather(u, v, 3):
             raise InternalInvariantError(f"edge {(u, v)} cannot hold three pebbles")
+        tails: dict[int, list[int]] = {w: [] for w in self.out}
+        for w, heads in self.out.items():
+            for head in heads:
+                tails[head].append(w)
         loose = {w for w, p in self.pebbles.items() if p and w != u and w != v}
-        while grown := {w for w, heads in self.out.items() if w not in loose and heads & loose}:
-            loose |= grown
+        stack = list(loose)
+        while stack:
+            for w in tails[stack.pop()]:
+                if w not in loose:
+                    loose.add(w)
+                    stack.append(w)
         return frozenset(self.out.keys() - loose)
 
 
@@ -100,14 +127,25 @@ def is_laman(g: Graph) -> bool:
     return freedom_number(g) == 0 and is_independent(g)
 
 
+def _is_laman(g: Graph, game: _PebbleGame) -> bool:
+    return freedom_number(g) == 0 and game.independent
+
+
 def _vertex_deleted_components(g: Graph, final: _PebbleGame) -> Iterator[frozenset[int]]:
-    """For each vertex x in ascending order, the rigid components (>= 3 vertices) of
-    G - x, from G's game `final`.  G must be independent: each component then induces
-    an MI proper subgraph, and each maximal one W is a component of G - x for x not in W."""
+    """Rigid components (>= 3 vertices) of graphs G - x, from G's game `final`,
+    among them every maximal MI proper subgraph.  G must be independent: each
+    component then induces an MI proper subgraph.  With x1 of least degree
+    (smallest label on ties), G - x1 is asked about every edge and each other
+    G - x only about the edges x1y, which the star restriction in the module
+    docstring shows is enough."""
+    if not g.vertices:
+        return
+    x1 = min(g.sorted_vertices(), key=g.degree)
+    star = [(x1, y) for y in sorted(g.neighbors(x1))]
     for x in g.sorted_vertices():
         game = final.without_vertex(x)
         found: list[frozenset[int]] = []
-        for u, v in g.sorted_edges():
+        for u, v in g.sorted_edges() if x == x1 else star:
             if x != u and x != v and not any(u in c and v in c for c in found):
                 comp = game.rigid_component(u, v)
                 if len(comp) >= 3:
@@ -115,10 +153,13 @@ def _vertex_deleted_components(g: Graph, final: _PebbleGame) -> Iterator[frozens
                     yield comp
 
 
+def _is_basic(g: Graph, game: _PebbleGame) -> bool:
+    return _is_laman(g, game) and not any(_vertex_deleted_components(g, game))
+
+
 def is_basic(g: Graph) -> bool:
     """Laman with no proper subgraph (>= 3 vertices) of freedom number 0."""
-    game = _PebbleGame(g)
-    return freedom_number(g) == 0 and game.independent and not any(_vertex_deleted_components(g, game))
+    return _is_basic(g, _PebbleGame(g))
 
 
 def internal_vertices(g: Graph, subset: frozenset[int]) -> frozenset[int]:
@@ -131,14 +172,18 @@ def attachment_vertices(g: Graph, subset: frozenset[int]) -> list[int]:
     return sorted(v for v in subset if not g.neighbors(v) <= subset)
 
 
+def _maximal_mi_sets(g: Graph, game: _PebbleGame) -> list[frozenset[int]]:
+    found = set(_vertex_deleted_components(g, game))
+    return sorted((w for w in found if not any(w < other for other in found)), key=sorted)
+
+
 def mi_proper_subgraphs(g: Graph) -> list[frozenset[int]]:
     """Vertex sets of the containment-maximal MI proper subgraphs (>= 3
     vertices) of an independent graph, ordered by their sorted vertex lists."""
     game = _PebbleGame(g)
     if not game.independent:
         raise InputError("maximally independent subgraphs are defined for independent graphs")
-    found = set(_vertex_deleted_components(g, game))
-    return sorted((w for w in found if not any(w < other for other in found)), key=sorted)
+    return _maximal_mi_sets(g, game)
 
 
 def maximal_mi_subgraph(g: Graph) -> Graph | None:
@@ -151,9 +196,14 @@ def maximal_mi_subgraph(g: Graph) -> Graph | None:
     a single candidate needs no tie-break, so only a tie of two or more
     reaches the canonical form's size cap.
     """
-    if not is_laman(g):
+    game = _PebbleGame(g)
+    if not _is_laman(g, game):
         raise InputError("maximal MI subgraphs are defined for Laman graphs")
-    maximal = mi_proper_subgraphs(g)
+    return _choose_mi_subgraph(g, _maximal_mi_sets(g, game))
+
+
+def _choose_mi_subgraph(g: Graph, maximal: list[frozenset[int]]) -> Graph | None:
+    """`maximal_mi_subgraph`'s choice among G's maximal MI vertex sets."""
     if not maximal:
         return None
     maximal = [w for w in maximal if internal_vertices(g, w)] or maximal
@@ -172,13 +222,21 @@ def triangles_through(g: Graph, e: Edge) -> list[int]:
 def is_contractible(g: Graph, e: Edge) -> bool:
     """True iff G/e is again Laman; requires e to sit in exactly one 3-cycle."""
     e = edge(*e)
-    if not is_laman(g):
+    game = _PebbleGame(g)
+    if not _is_laman(g, game):
         raise InputError("contractibility is defined for Laman graphs")
     if e not in g.edges:
         raise InputError(f"edge {e} not in the graph")
-    if len(triangles_through(g, e)) != 1:
+    return _is_contractible(g, game, e)
+
+
+def _is_contractible(g: Graph, game: _PebbleGame, e: Edge) -> bool:
+    """`is_contractible` for an edge of a Laman graph, from the graph's game by
+    the contraction criterion in the module docstring."""
+    apexes = triangles_through(g, e)
+    if len(apexes) != 1:
         return False
-    return is_laman(contract_edge(g, e))
+    return game.without_vertex(apexes[0]).rigid_component(*e) == set(e)
 
 
 def fan_edges(cycle: tuple[int, ...]) -> list[Edge]:
@@ -205,6 +263,12 @@ def surgery(g: Graph, r: Graph) -> Graph:
         raise InputError("target must be maximally independent")
     if not is_m_connected(g, 3):
         raise InputError("target must be 3-connected")
+    return _surgery(g, r)
+
+
+def _surgery(g: Graph, r: Graph) -> Graph:
+    """`surgery` once G is known to be 3-connected and Laman and R to be one
+    of its MI proper subgraphs, vertex induced."""
     cycle = tuple(attachment_vertices(g, r.vertices))
     if len(cycle) < 3:
         raise InputError("surgery needs at least 3 attachment vertices")

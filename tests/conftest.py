@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from rigicert import rigidity
 from rigicert.graph import Graph, edge
 from rigicert.rigidity import enumerate_laman
 
@@ -73,3 +74,17 @@ def four_cycle() -> Graph:
 @pytest.fixture(scope="session")
 def census_by_n():
     return {n: enumerate_laman(n) for n in range(3, 9)}
+
+
+@pytest.fixture
+def pebble_games(monkeypatch):
+    """The graphs that pebble games are built on while the test runs, in order."""
+    built: list[Graph] = []
+    init = rigidity._PebbleGame.__init__
+
+    def counting_init(game, g):
+        built.append(g)
+        init(game, g)
+
+    monkeypatch.setattr(rigidity._PebbleGame, "__init__", counting_init)
+    return built

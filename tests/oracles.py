@@ -1,7 +1,9 @@
 """Exhaustive oracles the tests check rigicert's fast routines against.
 
-Each scans every vertex subset, edge set, branch set or prime directly.  None
-of them is used by the package itself.
+Each scans every vertex subset, edge set, branch set or prime directly, or
+keeps a slower definition the package has replaced (contractibility by
+contracting, rigid components of every edge of every G - x).  None of them is
+used by the package itself.
 """
 
 from __future__ import annotations
@@ -11,7 +13,8 @@ import itertools
 from rigicert.algebra.multipoly import MultiPoly
 from rigicert.algebra.unipoly import UniPoly, degree_multiset_mod, poly_gcd, primes_up_to
 from rigicert.errors import DegenerateInputError, InputError, UnsupportedSizeError
-from rigicert.graph import Graph, canonical_form
+from rigicert.graph import Edge, Graph, canonical_form, contract_edge, edge
+from rigicert.rigidity import _PebbleGame, is_laman, triangles_through
 
 
 def _subset_edge_counts(g: Graph, min_size: int, max_size: int):
@@ -53,6 +56,38 @@ def containment_maximal(family: list[frozenset[int]]) -> list[frozenset[int]]:
     """The members of `family` inside no other member, ordered by their
     ascending vertex lists."""
     return sorted((w for w in family if not any(w < other for other in family)), key=sorted)
+
+
+def mi_proper_subgraphs_all_vertex_scan(g: Graph) -> list[frozenset[int]]:
+    """`mi_proper_subgraphs` from the rigid component of every edge of every
+    G - x, skipping only edges inside a component already found for that x:
+    each maximal MI proper subgraph W is a component of G - x for x not in W."""
+    final = _PebbleGame(g)
+    if not final.independent:
+        raise InputError("maximally independent subgraphs are defined for independent graphs")
+    found: set[frozenset[int]] = set()
+    for x in g.sorted_vertices():
+        game = final.without_vertex(x)
+        components: list[frozenset[int]] = []
+        for u, v in g.sorted_edges():
+            if x not in (u, v) and not any(u in c and v in c for c in components):
+                component = game.rigid_component(u, v)
+                if len(component) >= 3:
+                    components.append(component)
+        found.update(components)
+    return containment_maximal(list(found))
+
+
+def is_contractible_by_contraction(g: Graph, e: Edge) -> bool:
+    """`is_contractible` by definition: contract e and test the result."""
+    e = edge(*e)
+    if not is_laman(g):
+        raise InputError("contractibility is defined for Laman graphs")
+    if e not in g.edges:
+        raise InputError(f"edge {e} not in the graph")
+    if len(triangles_through(g, e)) != 1:
+        return False
+    return is_laman(contract_edge(g, e))
 
 
 def enumerate_laman_exhaustive(n: int) -> set[bytes]:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 from rigicert import cli
 from rigicert.cli import main
-from rigicert.decomposition import StepKind, StepRecord, decompose_unique
+from rigicert.decomposition import BlockSplitDetail, StepRecord, decompose_unique
 from rigicert.errors import InternalInvariantError
 from rigicert.graph import Graph, edge, format_graph, is_m_connected
 from rigicert.rigidity import is_laman
@@ -54,6 +54,13 @@ def test_check_k4_and_triangle(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "check", write_graph(tmp_path, triangle()))
     result = report_of(out)["result"]
     assert result["free"] == 0 and result["laman"]
+
+
+def test_check_plays_one_pebble_game(tmp_path, capsys, pebble_games):
+    for g in (k33(), prism(), k4()):
+        code, _, _ = run_cli(capsys, "check", write_graph(tmp_path, g))
+        assert code == 0
+    assert [g.n for g in pebble_games] == [6, 6, 4]
 
 
 def test_parse_error_exit_code(tmp_path, capsys):
@@ -206,7 +213,7 @@ def test_block_split_step_json():
     # hand-built record: "recursed_into" repeats the record's output graphs
     decomposition = decompose_unique(g5())
     outputs = tuple(b.core() for b in decomposition.blocks if not b.redundant_flags)
-    record = StepRecord(StepKind.BLOCK_SPLIT, g5(), outputs, {"decomposition": decomposition})
+    record = StepRecord(g5(), outputs, BlockSplitDetail(decomposition))
     assert cli.step_json(record) == {
         "kind": "BLOCK_SPLIT",
         "input_graph": "n 5 e 0 2 e 0 3 e 0 4 e 1 2 e 1 3 e 1 4 e 2 3",

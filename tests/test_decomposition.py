@@ -16,7 +16,17 @@ from rigicert.errors import InputError
 from rigicert.graph import Graph, canonical_form, is_m_connected, parse_graph
 from rigicert.rigidity import is_basic, is_laman, mi_proper_subgraphs
 
-from conftest import four_cycle, g5, henneberg_ii_plus_triangle, k4, k4_minus_edge, k33, prism, triangle
+from conftest import (
+    four_cycle,
+    g5,
+    henneberg_ii_from_k33,
+    henneberg_ii_plus_triangle,
+    k4,
+    k4_minus_edge,
+    k33,
+    prism,
+    triangle,
+)
 
 
 def test_decompose_k4_minus_edge():
@@ -226,9 +236,19 @@ def test_reduce_with_one_mi_candidate_above_12_vertices():
     assert sorted(len(w) for w in mi_proper_subgraphs(g)) == [3, 13]
     trace = reduce_to_terminal(g)
     assert [record.kind for record in trace.steps] == [StepKind.SURGERY]
-    assert trace.steps[0].detail["replaced"].n == 13
-    assert trace.steps[0].detail["attachment"] == (0, 1, 2)
+    assert trace.steps[0].detail.replaced.n == 13
+    assert trace.steps[0].detail.attachment == (0, 1, 2)
     assert [(t.n, kind) for t, kind in trace.terminals] == [(6, TerminalKind.DOUBLET)]
+
+
+def test_reduction_plays_one_pebble_game_per_graph(pebble_games):
+    # one game per popped graph (each round pops one, each terminal one) plus
+    # one per surgered graph
+    trace = reduce_to_terminal(henneberg_ii_from_k33(2, 80))
+    surgeries = sum(record.kind == StepKind.SURGERY for record in trace.steps)
+    popped = surgeries + len(trace.terminals)
+    assert surgeries >= 2
+    assert len(pebble_games) <= popped + surgeries
 
 
 def test_contraction_block_split_instance():

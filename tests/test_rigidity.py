@@ -3,6 +3,8 @@ import random
 
 import pytest
 
+from rigicert import rigidity
+from rigicert.decomposition import reduce_to_terminal
 from rigicert.errors import InputError, UnsupportedSizeError
 from rigicert.graph import (
     Graph,
@@ -31,7 +33,9 @@ from conftest import four_cycle, henneberg_ii_from_k33, k4, k4_minus_edge, k33, 
 from oracles import (
     containment_maximal,
     enumerate_laman_exhaustive,
+    is_contractible_by_contraction,
     is_independent_exhaustive,
+    mi_proper_subgraphs_all_vertex_scan,
     mi_subgraphs_exhaustive,
 )
 
@@ -114,14 +118,14 @@ def test_maximal_mi_subgraph_keeps_internal_vertex():
     assert internal_vertices(g, r.vertices)
 
 
-def _henneberg_graphs(seed: int, count: int, max_n: int) -> list[Graph]:
-    """Seeded random Laman graphs of 4..max_n vertices grown from a triangle,
-    each relabelled with distinct random labels below 100."""
+def _henneberg_graphs(seed: int, count: int, max_n: int, min_n: int = 4) -> list[Graph]:
+    """Seeded random Laman graphs of min_n..max_n vertices grown from a
+    triangle, each relabelled with distinct random labels below 100."""
     rng = random.Random(seed)
     graphs = []
     for _ in range(count):
         g = triangle()
-        for _ in range(rng.randint(4, max_n) - 3):
+        for _ in range(rng.randint(min_n, max_n) - 3):
             g = rng.choice(henneberg_children(g))
         relabel = dict(zip(g.sorted_vertices(), rng.sample(range(100), g.n)))
         graphs.append(Graph(relabel.values(), [(relabel[u], relabel[v]) for u, v in g.edges]))
@@ -160,6 +164,21 @@ def test_mi_queries_match_oracle_on_relabelled_henneberg_graphs():
         _check_mi_queries_against_oracle(g)
 
 
+def test_mi_proper_subgraphs_match_oracle_on_independent_graphs():
+    # not only Laman graphs: the least-degree vertex of the star restriction
+    # may have degree 0 or 1, and the graph may be disconnected
+    rng = random.Random(43)
+    checked = with_mi = 0
+    while checked < 600:
+        g = random_graph(rng, rng.randint(1, 8), rng.uniform(0.1, 0.7))
+        if is_independent(g):
+            family = mi_subgraphs_exhaustive(g)
+            assert mi_proper_subgraphs(g) == containment_maximal(family)
+            checked += 1
+            with_mi += bool(family)
+    assert with_mi > 100
+
+
 def test_internal_vertices_persist_in_maximal_mi_subgraphs(census_by_n):
     # an MI proper subgraph with an internal vertex lies in a maximal one that
     # keeps it internal, so maximal_mi_subgraph need look at no other candidate
@@ -186,6 +205,46 @@ def test_mi_queries_on_a_20_vertex_three_connected_graph():
     for w in maximal:
         assert 3 <= len(w) < g.n and is_laman(induced_subgraph(g, w))
         assert not any(w < other for other in maximal)
+
+
+@pytest.mark.parametrize("n", [20, 40, 60, 80])
+def test_mi_queries_match_all_vertex_scan_beyond_the_subset_oracle(n):
+    # the graph itself (not basic) and the basic terminal its reduction ends at
+    g = henneberg_ii_from_k33(seed=n, n=n)
+    graphs = [g] + [t for t, _ in reduce_to_terminal(g).terminals]
+    assert [is_basic(h) for h in graphs] == [False] + [True] * (len(graphs) - 1)
+    for h in graphs:
+        maximal = mi_proper_subgraphs_all_vertex_scan(h)
+        assert mi_proper_subgraphs(h) == maximal
+        assert is_basic(h) == (not maximal)
+
+
+def test_star_restricted_search_call_count(monkeypatch):
+    # G - x1 asks about its edges and each other G - x only about x1's star:
+    # at most e + (n - 1) * (least degree) rigid components per search
+    calls = []
+    rigid_component = rigidity._PebbleGame.rigid_component
+
+    def counting_rigid_component(game, u, v):
+        calls.append((u, v))
+        return rigid_component(game, u, v)
+
+    monkeypatch.setattr(rigidity._PebbleGame, "rigid_component", counting_rigid_component)
+    g = henneberg_ii_from_k33(seed=2, n=80)
+    least = min(g.degree(v) for v in g.vertices)
+    mi_proper_subgraphs(g)
+    assert 0 < len(calls) <= g.e + (g.n - 1) * least
+
+
+def test_contractibility_criterion_matches_contraction(census_by_n):
+    graphs = [g for n in range(4, 9) for g in census_by_n[n].representatives]
+    graphs += _henneberg_graphs(seed=41, count=40, max_n=16, min_n=7)
+    verdicts = [
+        (is_contractible(g, e), is_contractible_by_contraction(g, e)) for g in graphs for e in g.sorted_edges()
+    ]
+    assert all(fast == slow for fast, slow in verdicts)
+    contractible = sum(fast for fast, _ in verdicts)
+    assert 1000 < contractible < len(verdicts) - 1000
 
 
 def test_is_contractible():
