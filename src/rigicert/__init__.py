@@ -10,7 +10,6 @@ from .graph import (
     Block,
     BlockDecomposition,
     Graph,
-    SeparationPair,
     canonical_form,
     contract_edge,
     format_graph,
@@ -50,7 +49,6 @@ __all__ = [
     "Block",
     "BlockDecomposition",
     "Graph",
-    "SeparationPair",
     "canonical_form",
     "contract_edge",
     "format_graph",

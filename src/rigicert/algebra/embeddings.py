@@ -120,19 +120,13 @@ def verify_embedding(
 ) -> bool:
     """Exact pins, and every non-base squared distance within the tolerance."""
     base = edge(*base)
-    d = distance_assignment(graph, base, distances)
     missing = graph.vertices - set(embedding)
     if missing:
         raise InputError(f"embedding misses vertices {sorted(missing)}")
+    residual = max_residual(graph, distances, base, embedding)
     if embedding[base[0]] != (0.0, 0.0) or embedding[base[1]] != (1.0, 0.0):
         return False
-    for (u, v), dist in d.items():
-        ux, uy = embedding[u]
-        vx, vy = embedding[v]
-        residual = (ux - vx) ** 2 + (uy - vy) ** 2 - float(dist)
-        if abs(residual) > tolerance:
-            return False
-    return True
+    return residual <= tolerance
 
 
 def max_residual(

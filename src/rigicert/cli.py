@@ -16,6 +16,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .decomposition import (
+    BlockDecomposition,
     BlockSplitDetail,
     ContractionDetail,
     StepRecord,
@@ -68,6 +69,13 @@ def block_json(b: Block) -> dict:
     }
 
 
+def decomposition_json(d: BlockDecomposition) -> dict:
+    return {
+        "blocks": [block_json(b) for b in d.blocks],
+        "separation_history": [list(ev.pair) for ev in d.events],
+    }
+
+
 def certificate_json(cert: SolubilityCertificate) -> dict:
     witness = None
     if cert.witness is not None:
@@ -90,8 +98,7 @@ def step_json(record: StepRecord) -> dict:
             detail = {"edge": list(e)}
         case BlockSplitDetail(decomposition):
             detail = {
-                "blocks": [block_json(b) for b in decomposition.blocks],
-                "separation_history": [list(p.pair) for p in decomposition.separation_history],
+                **decomposition_json(decomposition),
                 "recursed_into": [graph_json(g) for g in record.output_graphs],
             }
     return {
@@ -142,11 +149,7 @@ def cmd_census(args) -> dict:
 
 def cmd_decompose(args) -> dict:
     g = _read_graph(args.graph_file)
-    decomposition = decompose_unique(g)
-    return {
-        "blocks": [block_json(b) for b in decomposition.blocks],
-        "separation_history": [list(p.pair) for p in decomposition.separation_history],
-    }
+    return decomposition_json(decompose_unique(g))
 
 
 def cmd_classify(args) -> dict:
@@ -175,6 +178,11 @@ def _parse_distances(text: str) -> list[Fraction]:
     from .algebra.multipoly import as_fraction
 
     parts = [p for chunk in text.split(",") for p in chunk.split()]
+    # Fraction expands exponent notation, so one short token like "1e10000000"
+    # would take seconds and megabytes; distances are integers, a/b or decimals.
+    for p in parts:
+        if "e" in p or "E" in p:
+            raise ParseError(f"bad distance {p!r}: exponent notation is not accepted")
     try:
         values = [as_fraction(p) for p in parts]
     except (InputError, ValueError, ZeroDivisionError) as exc:

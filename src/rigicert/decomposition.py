@@ -10,6 +10,11 @@ part, so it re-examines freedom-0 parts as plain Laman graphs and never
 records a redundant edge.  Conflating them misclassifies blocks such as
 K4-minus-an-edge, which is quadratically soluble yet 3-connected once its
 redundant edge is included.
+
+A separation pair is the `Edge` (a, b) that `separation_pairs` returns; each
+separation `decompose_unique` performs is recorded once, as the
+`SeparationEvent` that holds the pair, the parts' freedoms and whether ab was
+an edge.
 """
 
 from __future__ import annotations
@@ -26,7 +31,6 @@ from .graph import (
     Edge,
     Graph,
     SeparationEvent,
-    SeparationPair,
     canonical_form,
     contract_edge,
     edge,
@@ -50,7 +54,7 @@ from .rigidity import (
 )
 
 
-def _block_separation_pairs(b: Block) -> list[SeparationPair]:
+def _block_separation_pairs(b: Block) -> list[Edge]:
     """Separation pairs of a working block, virtual and redundant edges included."""
     g = b.subgraph
     if g.n < 4:
@@ -58,12 +62,11 @@ def _block_separation_pairs(b: Block) -> list[SeparationPair]:
     return separation_pairs(g)
 
 
-def _split_block(b: Block, pair: SeparationPair) -> tuple[list[Block], SeparationEvent]:
+def _split_block(b: Block, pair: Edge) -> tuple[list[Block], SeparationEvent]:
     """One separation: re-close components over the pair and add the virtual
     edge, marking it redundant where the core already has freedom 0."""
     g = b.subgraph
-    pair_edge = pair.pair
-    had_edge = pair_edge in g.edges
+    had_edge = pair in g.edges
     parts: list[Block] = []
     freedoms: list[int] = []
     for sub in separation_blocks(g, pair):
@@ -74,13 +77,12 @@ def _split_block(b: Block, pair: SeparationPair) -> tuple[list[Block], Separatio
         if had_edge:
             parts.append(Block(sub, virt, red))
         else:
-            new_sub = sub.with_edges([pair_edge])
-            new_virt = virt | {pair_edge}
-            new_red = red | ({pair_edge} if core_free == 0 else frozenset())
+            new_sub = sub.with_edges([pair])
+            new_virt = virt | {pair}
+            new_red = red | ({pair} if core_free == 0 else frozenset())
             parts.append(Block(new_sub, new_virt, new_red))
-    _assert_freedom_pattern(had_edge, freedoms, pair_edge)
-    event = SeparationEvent(pair_edge, g.vertices, tuple(freedoms), had_edge)
-    return parts, event
+    _assert_freedom_pattern(had_edge, freedoms, pair)
+    return parts, SeparationEvent(pair, tuple(freedoms), had_edge)
 
 
 def _assert_freedom_pattern(had_edge: bool, freedoms: list[int], pair: Edge) -> None:
@@ -101,8 +103,10 @@ def _assert_freedom_pattern(had_edge: bool, freedoms: list[int], pair: Edge) -> 
 def decompose_unique(g: Graph, rng: random.Random | None = None) -> BlockDecomposition:
     """The unique decomposition into 3-cycles and 3-connected blocks.
 
-    The optional rng scrambles the separation order; the resulting block set
-    is provably order-independent, which the test-suite exercises.
+    The optional rng picks which block to split next and at which of its
+    separation pairs; the resulting block set is provably order-independent,
+    which the test-suite exercises.  `events` lists the separations in the
+    order they were performed.
     """
     if not is_laman(g):
         raise InputError("block decomposition is defined for Laman graphs")
@@ -110,31 +114,23 @@ def decompose_unique(g: Graph, rng: random.Random | None = None) -> BlockDecompo
         raise InputError("block decomposition needs at least 4 vertices")
     work = [Block(g)]
     done: list[Block] = []
-    history: list[SeparationPair] = []
     events: list[SeparationEvent] = []
     while work:
-        if rng is None:
-            b = work.pop(0)
-            pairs = _block_separation_pairs(b)
-            chosen = pairs[0] if pairs else None
-        else:
-            i = rng.randrange(len(work))
-            b = work.pop(i)
-            pairs = _block_separation_pairs(b)
-            chosen = rng.choice(pairs) if pairs else None
-        if chosen is None:
+        b = work.pop(0 if rng is None else rng.randrange(len(work)))
+        pairs = _block_separation_pairs(b)
+        if not pairs:
             # With no separation pair a block of 4 or more vertices is 3-connected.
             if b.subgraph.n < 4 and not b.is_triangle():
                 raise InternalInvariantError("final block is neither a 3-cycle nor 3-connected")
             done.append(b)
             continue
-        if chosen.pair in b.virtual_edges:
+        pair = pairs[0] if rng is None else rng.choice(pairs)
+        if pair in b.virtual_edges:
             raise InternalInvariantError(
                 "separation pair coincides with a virtual edge; "
                 "a separation pair should never be reused"
             )
-        parts, event = _split_block(b, chosen)
-        history.append(chosen)
+        parts, event = _split_block(b, pair)
         events.append(event)
         work.extend(parts)
     for b in done:
@@ -143,7 +139,7 @@ def decompose_unique(g: Graph, rng: random.Random | None = None) -> BlockDecompo
     if done and not any(not b.redundant_flags for b in done):
         raise InternalInvariantError("no block is free of redundant virtual edges")
     done.sort(key=lambda b: sorted(b.subgraph.vertices))
-    return BlockDecomposition(tuple(done), tuple(history), tuple(events))
+    return BlockDecomposition(tuple(done), tuple(events))
 
 
 class Verdict(Enum):

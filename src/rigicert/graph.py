@@ -3,13 +3,17 @@
 Vertices are arbitrary non-negative integer labels and are preserved by every
 operation; all values are immutable after construction, so concurrent readers
 need no locking.
+
+A separation pair is a plain `Edge`, the pair (a, b) with a < b, whether or
+not ab is an edge of the graph.  `is_m_connected` and `separation_pairs` read
+one enumeration of the vertex sets whose removal disconnects the rest.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Iterable
+from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 from .errors import InputError, ParseError, UnsupportedSizeError
 
@@ -17,6 +21,11 @@ Edge = tuple[int, int]
 
 #: Desk-scale cap for canonical_form, the one permutation search.
 MAX_CANONICAL_VERTICES = 12
+
+#: The largest vertex count a graph file may declare: `parse_graph` fills the
+#: labels no edge mentions as isolated vertices, so a short file could
+#: otherwise ask for any number of them.
+MAX_DECLARED_VERTICES = 10**5
 
 
 def edge(u: int, v: int) -> Edge:
@@ -104,20 +113,6 @@ class Graph:
 
 
 @dataclass(frozen=True)
-class SeparationPair:
-    """A vertex pair whose removal disconnects the rest of the graph."""
-
-    pair: Edge
-
-    def __post_init__(self):
-        a, b = self.pair
-        if a == b:
-            raise InputError("separation pair must consist of two distinct vertices")
-        if a > b:
-            object.__setattr__(self, "pair", (b, a))
-
-
-@dataclass(frozen=True)
 class Block:
     """A decomposition block: a subgraph plus bookkeeping for virtual edges.
 
@@ -149,16 +144,16 @@ class SeparationEvent:
     """One separation performed during block decomposition (for auditing)."""
 
     pair: Edge
-    parent_vertices: frozenset[int]
     part_freedoms: tuple[int, ...]
     edge_was_present: bool
 
 
 @dataclass(frozen=True)
 class BlockDecomposition:
+    """The blocks, and the separations that made them in the order performed."""
+
     blocks: tuple[Block, ...]
-    separation_history: tuple[SeparationPair, ...]
-    events: tuple[SeparationEvent, ...] = field(default=(), compare=False)
+    events: tuple[SeparationEvent, ...]
 
 
 def freedom_number(g: Graph) -> int:
@@ -200,14 +195,12 @@ def connected_components(g: Graph, removed: Iterable[int] = ()) -> list[frozense
     return comps
 
 
-def is_connected(g: Graph) -> bool:
-    return g.n <= 1 or len(connected_components(g)) == 1
-
-
-def _separates(g: Graph, removed: set[int]) -> bool:
-    if g.n - len(removed) < 2:
-        return False
-    return len(connected_components(g, removed)) > 1
+def _separating_sets(g: Graph, size: int) -> Iterator[tuple[int, ...]]:
+    """The `size`-subsets of V, in ascending combination order, whose removal
+    leaves more than one component."""
+    for removed in itertools.combinations(g.sorted_vertices(), size):
+        if len(connected_components(g, removed)) > 1:
+            yield removed
 
 
 def is_m_connected(g: Graph, m: int) -> bool:
@@ -216,34 +209,29 @@ def is_m_connected(g: Graph, m: int) -> bool:
         raise InputError("m must be a positive integer")
     if g.n <= m:
         return False
-    for removed in itertools.combinations(g.sorted_vertices(), m - 1):
-        if _separates(g, set(removed)):
-            return False
-    return True
+    return next(_separating_sets(g, m - 1), None) is None
 
 
-def separation_pairs(g: Graph) -> list[SeparationPair]:
-    """All vertex pairs whose removal disconnects the rest; empty iff 3-connected."""
-    if not is_connected(g):
+def separation_pairs(g: Graph) -> list[Edge]:
+    """All vertex pairs (a, b), a < b, whose removal disconnects the rest, in
+    ascending order; empty iff 3-connected."""
+    if len(connected_components(g)) > 1:
         raise InputError("separation pairs are defined for connected graphs only")
     if g.n < 4:
         raise InputError("separation pairs require at least 4 vertices")
-    pairs = []
-    for a, b in itertools.combinations(g.sorted_vertices(), 2):
-        if _separates(g, {a, b}):
-            pairs.append(SeparationPair((a, b)))
-    return pairs
+    return list(_separating_sets(g, 2))
 
 
-def separation_blocks(g: Graph, pair: SeparationPair) -> list[Graph]:
+def separation_blocks(g: Graph, pair: Edge) -> list[Graph]:
     """The components of G - {a,b}, each re-closed over the pair, in ascending
     order of the component's least vertex."""
-    a, b = pair.pair
+    pair = edge(*pair)
+    a, b = pair
     if a not in g.vertices or b not in g.vertices:
-        raise InputError(f"pair {pair.pair} not in the vertex set")
-    comps = connected_components(g, pair.pair)
+        raise InputError(f"pair {pair} not in the vertex set")
+    comps = connected_components(g, pair)
     if len(comps) < 2:
-        raise InputError(f"pair {pair.pair} does not separate the graph")
+        raise InputError(f"pair {pair} does not separate the graph")
     return [induced_subgraph(g, comp | {a, b}) for comp in comps]
 
 
@@ -569,6 +557,10 @@ def parse_graph(text: str) -> Graph:
                     raise ParseError(f"bad vertex count {tokens[i + 1]!r}", lineno)
                 if declared_n < 0:
                     raise ParseError("vertex count must be non-negative", lineno)
+                if declared_n > MAX_DECLARED_VERTICES:
+                    raise ParseError(
+                        f"vertex count {declared_n} exceeds the limit {MAX_DECLARED_VERTICES}", lineno
+                    )
                 i += 2
             elif tag == "e":
                 if i + 2 >= len(tokens):

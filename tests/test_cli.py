@@ -8,7 +8,7 @@ from rigicert import cli
 from rigicert.cli import main
 from rigicert.decomposition import BlockSplitDetail, StepRecord, decompose_unique
 from rigicert.errors import InternalInvariantError
-from rigicert.graph import Graph, edge, format_graph, is_m_connected
+from rigicert.graph import MAX_DECLARED_VERTICES, Graph, edge, format_graph, is_m_connected
 from rigicert.rigidity import is_laman
 
 from conftest import g5, henneberg_ii_from_k33, henneberg_ii_plus_triangle, k4, k33, prism, triangle
@@ -70,6 +70,11 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert code == 1 and "parse error" in err and out == ""
     code, out, err = run_cli(capsys, "check", str(tmp_path / "missing.txt"))
     assert code == 1
+    # refused before the isolated vertices are filled in, so fast and small
+    bad.write_text(f"n {MAX_DECLARED_VERTICES + 1}\ne 0 1\n")
+    code, out, err = run_cli(capsys, "check", str(bad))
+    assert code == 1 and out == ""
+    assert err.startswith("parse error: line 1: ") and err.count("\n") == 1
 
 
 def test_precondition_exit_code(tmp_path, capsys):
@@ -290,6 +295,9 @@ def test_k33_planted_distances_leave_planted_root(capsys):
 def test_k33_bad_distances(capsys):
     code, _, err = run_cli(capsys, "k33", "--distances", "1,2,3")
     assert code == 1
+    # Fraction would expand "1e10000000" to a 33-million-bit integer
+    code, out, err = run_cli(capsys, "k33", "--distances", "1e2,1,1,1,1/4,4,9/16,9/4")
+    assert code == 1 and out == "" and err.startswith("parse error: ") and err.count("\n") == 1
     code, _, err = run_cli(capsys, "k33", "--distances", "1,1,1,1,-1,4,9/16,9/4")
     assert code == 2  # nonpositive distance is a precondition failure
 

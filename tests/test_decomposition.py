@@ -35,7 +35,7 @@ def test_decompose_k4_minus_edge():
     for b in d.blocks:
         assert b.is_triangle()
         assert not b.virtual_edges  # edge (2,3) is real in both blocks
-    assert [p.pair for p in d.separation_history] == [(2, 3)]
+    assert [ev.pair for ev in d.events] == [(2, 3)]
 
 
 def test_decompose_g5():
@@ -57,7 +57,7 @@ def test_decompose_k33_single_block():
     assert len(d.blocks) == 1
     assert d.blocks[0].subgraph == k33()
     assert not d.blocks[0].virtual_edges
-    assert d.separation_history == ()
+    assert d.events == ()
 
 
 def test_decompose_errors():
@@ -129,7 +129,7 @@ def test_qs_classify_splits_at_a_virtual_edge():
     assert c.verdict == Verdict.QS and c.witness_blocks == ()
 
     d = decompose_unique(g)
-    assert [p.pair for p in d.separation_history] == [(0, 1), (2, 3)]
+    assert [ev.pair for ev in d.events] == [(0, 1), (2, 3)]
     blocks = [
         (sorted(b.subgraph.vertices), sorted(b.virtual_edges), sorted(b.redundant_flags))
         for b in d.blocks

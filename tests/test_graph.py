@@ -6,8 +6,8 @@ import pytest
 
 from rigicert.errors import InputError, ParseError, UnsupportedSizeError
 from rigicert.graph import (
+    MAX_DECLARED_VERTICES,
     Graph,
-    SeparationPair,
     canonical_form,
     connected_components,
     contract_edge,
@@ -112,7 +112,7 @@ def test_is_m_connected_against_bruteforce():
                 for pair in itertools.combinations(g.sorted_vertices(), 2)
                 if _separates_brute(g, set(pair))
             ]
-            assert [p.pair for p in separation_pairs(g)] == brute_pairs
+            assert separation_pairs(g) == brute_pairs
         for k in range(min(3, g.n) + 1):
             for removed in itertools.combinations(g.sorted_vertices(), k):
                 rest = induced_subgraph(g, g.vertices - set(removed))
@@ -128,9 +128,9 @@ def _separates_brute(g: Graph, removed: set[int]) -> bool:
 
 
 def test_separation_pairs_examples():
-    assert [p.pair for p in separation_pairs(k4_minus_edge())] == [(2, 3)]
+    assert separation_pairs(k4_minus_edge()) == [(2, 3)]
     assert separation_pairs(k33()) == []
-    assert [p.pair for p in separation_pairs(g5())] == [(0, 1)]
+    assert separation_pairs(g5()) == [(0, 1)]
     with pytest.raises(InputError):
         separation_pairs(Graph({0, 1, 2, 3}, [(0, 1), (2, 3)]))
     with pytest.raises(InputError):
@@ -138,22 +138,24 @@ def test_separation_pairs_examples():
 
 
 def test_separation_blocks():
-    blocks = separation_blocks(k4_minus_edge(), SeparationPair((2, 3)))
+    blocks = separation_blocks(k4_minus_edge(), (2, 3))
     keys = sorted(tuple(sorted(b.vertices)) for b in blocks)
     assert keys == [(0, 2, 3), (1, 2, 3)]
     for b in blocks:
         assert b.e == 3
 
-    blocks = separation_blocks(g5(), SeparationPair((0, 1)))
+    blocks = separation_blocks(g5(), (0, 1))
     keys = sorted(tuple(sorted(b.vertices)) for b in blocks)
     assert keys == [(0, 1, 2, 3), (0, 1, 4)]
 
     bowtie = Graph(range(4), [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)])
-    blocks = separation_blocks(bowtie, SeparationPair((0, 1)))
+    blocks = separation_blocks(bowtie, (0, 1))
     assert all(b.n == 3 and b.e == 3 for b in blocks)
 
     with pytest.raises(InputError):
-        separation_blocks(k33(), SeparationPair((1, 2)))
+        separation_blocks(k33(), (1, 2))
+    with pytest.raises(InputError):
+        separation_blocks(k4_minus_edge(), (2, 2))
 
 
 def test_separation_block_union_and_intersection():
@@ -171,7 +173,7 @@ def test_separation_block_union_and_intersection():
             union_e = set().union(*(b.edges for b in blocks))
             assert union_v == g.vertices and union_e == g.edges
             for b1, b2 in itertools.combinations(blocks, 2):
-                assert b1.vertices & b2.vertices == set(p.pair)
+                assert b1.vertices & b2.vertices == set(p)
             checked += 1
 
 
@@ -446,6 +448,8 @@ def test_parse_errors():
         parse_graph("n 1\ne 0 1\n")
     with pytest.raises(ParseError):
         parse_graph("n 2\nq 3\n")
+    with pytest.raises(ParseError):  # refused before the fill, so fast and small
+        parse_graph(f"n {MAX_DECLARED_VERTICES + 1}\ne 0 1\n")
     err = None
     try:
         parse_graph("n 3\ne 0 1\ne 0 x\n")
