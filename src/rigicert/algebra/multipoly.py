@@ -1,12 +1,21 @@
 """Sparse multivariate polynomials over exact rationals, and resultants.
 
 Coefficients are `fractions.Fraction`; exponent vectors index a fixed variable
-tuple.  The resultant runs a subresultant polynomial remainder sequence with
-the sign bookkeeping matching the Sylvester determinant, f-rows first.
+tuple.
+
+`resultant` clears denominators once: each operand p becomes a primitive
+integer polynomial P = c_p p, with c_p rational, nested as dense coefficient
+lists over the eliminated variable and then every other variable either
+operand uses.  The subresultant polynomial remainder sequence (Brown & Traub,
+J. ACM 18, 1971) runs on those lists, with every division exact over Z and the
+sign bookkeeping matching the Sylvester determinant, f-rows first.  The
+result is scaled back once, res(f, g) = res(F, G) / (c_f^deg g * c_g^deg f),
+and returned as one MultiPoly.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -186,37 +195,6 @@ class MultiPoly:
             terms[key] = terms.get(key, Fraction(0)) + coeff
         return MultiPoly(self.variables, terms)
 
-    def leading_term_lex(self) -> tuple[Exponents, Fraction]:
-        exps = max(self.terms)
-        return exps, self.terms[exps]
-
-    def divexact(self, divisor: "MultiPoly") -> "MultiPoly":
-        """Exact division; raises if the divisor does not divide evenly."""
-        self._check_compatible(divisor)
-        if divisor.is_zero():
-            raise InputError("division by the zero polynomial")
-        if divisor.is_constant():
-            return self.scale(1 / divisor.constant_value())
-        remainder = dict(self.terms)
-        quotient: dict[Exponents, Fraction] = {}
-        lead_e, lead_c = divisor.leading_term_lex()
-        while remainder:
-            exps = max(remainder)
-            coeff = remainder[exps]
-            q_exps = tuple(a - b for a, b in zip(exps, lead_e))
-            if any(e < 0 for e in q_exps):
-                raise InternalInvariantError("inexact polynomial division")
-            q_coeff = coeff / lead_c
-            quotient[q_exps] = quotient.get(q_exps, Fraction(0)) + q_coeff
-            for d_exps, d_coeff in divisor.terms.items():
-                key = tuple(a + b for a, b in zip(q_exps, d_exps))
-                val = remainder.get(key, Fraction(0)) - q_coeff * d_coeff
-                if val:
-                    remainder[key] = val
-                else:
-                    remainder.pop(key, None)
-        return MultiPoly(self.variables, quotient)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, MultiPoly)
@@ -242,77 +220,239 @@ class MultiPoly:
         return "MultiPoly(" + " + ".join(bits) + ")"
 
 
-def _strip(coeffs: list[MultiPoly]) -> list[MultiPoly]:
-    while coeffs and coeffs[-1].is_zero():
-        coeffs.pop()
-    return coeffs
+# The resultant kernel works on dense integer polynomials.  A polynomial in k
+# variables over Z is an int when k == 0, and otherwise the list of its
+# coefficients, polynomials in the other k - 1 variables, in ascending degree
+# with no trailing zero.  Zero is 0 or [], so `not a` tests for it at any k.
 
 
-def _pseudo_remainder(a: list[MultiPoly], b: list[MultiPoly]) -> list[MultiPoly]:
-    """prem(a, b) = lc(b)^(deg a - deg b + 1) * a mod b, all over the coefficient ring."""
+def _zero(k: int):
+    return 0 if k == 0 else []
+
+
+def _one(k: int):
+    return 1 if k == 0 else [_one(k - 1)]
+
+
+def _strip(a: list) -> list:
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _add(a, b, k: int):
+    if k == 0:
+        return a + b
+    if len(a) < len(b):
+        a, b = b, a
+    if k == 1:
+        out = a[:]
+        for i, c in enumerate(b):
+            out[i] += c
+    else:
+        out = [_add(x, y, k - 1) for x, y in zip(a, b)] + a[len(b) :]
+    return _strip(out)
+
+
+def _neg(a, k: int):
+    if k == 0:
+        return -a
+    if k == 1:
+        return [-c for c in a]
+    return [_neg(c, k - 1) for c in a]
+
+
+def _sub(a, b, k: int):
+    return _add(a, _neg(b, k), k)
+
+
+def _mul(a, b, k: int):
+    if k == 0:
+        return a * b
+    if not a or not b:
+        return []
+    # the product of the leading coefficients is the (nonzero) leading one
+    if k == 1:
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        return out
+    out = [[]] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    out[i + j] = _add(out[i + j], _mul(x, y, k - 1), k - 1)
+    return out
+
+
+def _pow(a, n: int, k: int):
+    result = _one(k)
+    while n:
+        if n & 1:
+            result = _mul(result, a, k)
+        n >>= 1
+        if n:
+            a = _mul(a, a, k)
+    return result
+
+
+def _divexact(a, b, k: int):
+    """a / b for a nonzero b that divides a; raises if it does not."""
+    if k == 0:
+        q, r = divmod(a, b)
+        if r:
+            raise InternalInvariantError("inexact polynomial division")
+        return q
+    if not a:
+        return []
+    db = len(b) - 1
+    if len(a) <= db:
+        raise InternalInvariantError("inexact polynomial division")
+    r = a[:]
+    q = [_zero(k - 1)] * (len(a) - db)
+    lead = b[-1]
+    for i in range(len(q) - 1, -1, -1):
+        c = r[i + db]
+        if not c:
+            continue
+        if k == 1:
+            qi, rem = divmod(c, lead)
+            if rem:
+                raise InternalInvariantError("inexact polynomial division")
+            for j in range(db):
+                r[i + j] -= qi * b[j]
+        else:
+            qi = _divexact(c, lead, k - 1)
+            for j in range(db):
+                r[i + j] = _sub(r[i + j], _mul(qi, b[j], k - 1), k - 1)
+        q[i] = qi
+    if any(r[:db]):
+        raise InternalInvariantError("inexact polynomial division")
+    return q
+
+
+def _pseudo_remainder(a: list, b: list, k: int) -> list:
+    """prem(a, b) = lc(b)^(deg a - deg b + 1) * a mod b, for a and b in R[var]
+    with R the polynomials in k variables."""
     db = len(b) - 1
     lb = b[-1]
-    r = list(a)
-    e = len(a) - len(b) + 1
-    while _strip(r) and len(r) - 1 >= db:
+    r = a
+    e = len(a) - db
+    while len(r) > db:
         lr = r[-1]
         shift = len(r) - 1 - db
-        r = [c * lb for c in r[:-1]]
-        for i, bc in enumerate(b[:-1]):
-            r[shift + i] = r[shift + i] - lr * bc
+        r = [_mul(c, lb, k) for c in r[:-1]]
+        for i in range(db):
+            r[shift + i] = _sub(r[shift + i], _mul(lr, b[i], k), k)
         e -= 1
         _strip(r)
-    lb_rest = lb**e if e > 0 else None
-    if lb_rest is not None:
-        r = [c * lb_rest for c in r]
-    return _strip(r)
+    if e > 0 and r:
+        scale = _pow(lb, e, k)
+        r = [_mul(c, scale, k) for c in r]
+    return r
 
 
-def resultant(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
-    """Sylvester resultant of f and g with respect to `var`.
-
-    Computed by a subresultant polynomial remainder sequence; the sign matches
-    the determinant of the Sylvester matrix with the f-rows on top.
-    """
-    if f.is_zero() or g.is_zero():
-        raise InputError("resultant requires nonzero polynomials")
-    a = _strip(f.coefficients_in(var))
-    b = _strip(g.coefficients_in(var))
+def _subresultant(a: list, b: list, k: int):
+    """res_var(a, b) for a, b in R[var] of positive degrees, by the
+    subresultant PRS (Brown & Traub 1971); the sign is that of the Sylvester
+    determinant with the a-rows on top."""
     da, db = len(a) - 1, len(b) - 1
-    if da == 0 and db == 0:
-        raise DegenerateInputError(f"neither polynomial involves {var!r}")
-    if da == 0:
-        return a[0] ** db
-    if db == 0:
-        return b[0] ** da
     sign = -1 if (da % 2 == 1 and db % 2 == 1 and da < db) else 1
     if da < db:
         a, b = b, a
-    variables = f.variables
-    one = MultiPoly.constant(variables, 1)
-    zero = MultiPoly.zero(variables)
-    g_prev, h_prev = one, one
+    g_prev = h_prev = _one(k)
     while True:
         da, db = len(a) - 1, len(b) - 1
         delta = da - db
         if da % 2 == 1 and db % 2 == 1:
             sign = -sign
-        r = _pseudo_remainder(a, b)
+        r = _pseudo_remainder(a, b, k)
         if not r:
-            return zero
+            return _zero(k)
         a = b
-        divisor = g_prev * (h_prev**delta)
-        b = [c.divexact(divisor) for c in r]
+        divisor = _mul(g_prev, _pow(h_prev, delta, k), k)
+        b = [_divexact(c, divisor, k) for c in r]
         g_prev = a[-1]
-        if delta == 0:
-            pass
-        elif delta == 1:
+        if delta == 1:
             h_prev = g_prev
-        else:
-            h_prev = (g_prev**delta).divexact(h_prev ** (delta - 1))
-        if len(b) - 1 == 0:
+        elif delta > 1:
+            h_prev = _divexact(_pow(g_prev, delta, k), _pow(h_prev, delta - 1, k), k)
+        if len(b) == 1:
             d_last = len(a) - 1
-            numerator = b[0] ** d_last
+            result = _pow(b[0], d_last, k)
             if d_last > 1:
-                numerator = numerator.divexact(h_prev ** (d_last - 1))
-            return numerator if sign == 1 else -numerator
+                result = _divexact(result, _pow(h_prev, d_last - 1, k), k)
+            return result if sign == 1 else _neg(result, k)
+
+
+def _nest(terms: dict[Exponents, int], k: int):
+    """The dense form of {exponents: coefficient}, first exponent outermost."""
+    if k == 0:
+        return terms.get((), 0)
+    buckets: dict[int, dict[Exponents, int]] = {}
+    for exps, c in terms.items():
+        buckets.setdefault(exps[0], {})[exps[1:]] = c
+    return [
+        _nest(buckets[d], k - 1) if d in buckets else _zero(k - 1)
+        for d in range(max(buckets, default=-1) + 1)
+    ]
+
+
+def _unnest(a, k: int, prefix: Exponents = ()):
+    """The (exponents, coefficient) pairs of a dense polynomial's nonzero terms."""
+    if k == 0:
+        if a:
+            yield prefix, a
+        return
+    for d, c in enumerate(a):
+        yield from _unnest(c, k - 1, prefix + (d,))
+
+
+def _integer_form(p: MultiPoly, order: list[int]) -> tuple[list, Fraction]:
+    """(P, c) with P the dense integer polynomial over the variable indices
+    `order` (outermost first) and c a rational with p = P / c."""
+    lcm = math.lcm(*(c.denominator for c in p.terms.values()))
+    ints = {
+        tuple(exps[i] for i in order): c.numerator * (lcm // c.denominator)
+        for exps, c in p.terms.items()
+    }
+    content = math.gcd(*ints.values())
+    ints = {exps: c // content for exps, c in ints.items()}
+    return _nest(ints, len(order)), Fraction(lcm, content)
+
+
+def resultant(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
+    """Sylvester resultant of f and g with respect to `var`.
+
+    The sign matches the determinant of the Sylvester matrix with the f-rows
+    on top; the module docstring describes the integer scaling.
+    """
+    if f.is_zero() or g.is_zero():
+        raise InputError("resultant requires nonzero polynomials")
+    f._check_compatible(g)
+    i = f._index(var)
+    used = f.used_variables() | g.used_variables()
+    others = [j for j, name in enumerate(f.variables) if j != i and name in used]
+    a, c_f = _integer_form(f, [i] + others)
+    b, c_g = _integer_form(g, [i] + others)
+    da, db = len(a) - 1, len(b) - 1
+    if da == 0 and db == 0:
+        raise DegenerateInputError(f"neither polynomial involves {var!r}")
+    k = len(others)
+    if da == 0:
+        res = _pow(a[0], db, k)
+    elif db == 0:
+        res = _pow(b[0], da, k)
+    else:
+        res = _subresultant(a, b, k)
+    scale = c_f**db * c_g**da
+    terms = {}
+    for exps, c in _unnest(res, k):
+        full = [0] * len(f.variables)
+        for j, e in zip(others, exps):
+            full[j] = e
+        terms[tuple(full)] = c / scale
+    return MultiPoly(f.variables, terms)

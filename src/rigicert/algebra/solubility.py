@@ -238,12 +238,20 @@ def _degree_can_refute(n: int) -> bool:
 def nonsolubility_certificate(p: UniPoly, prime_bound: int = 10000) -> SolubilityCertificate:
     """Refute solubility of the Galois group of an irreducible polynomial, or
     report INCONCLUSIVE.  Sound: never NOT_SOLUBLE for a soluble group."""
+    # an over-large bound is refused by _certificate, before any factoring
+    if prime_bound <= MAX_PRIME_BOUND:
+        factors = factor_over_q(p)
+        if len(factors) != 1 or factors[0][1] != 1:
+            raise InputError("polynomial is reducible; factor first and certify the pieces")
+    return _certificate(p, prime_bound)
+
+
+def _certificate(p: UniPoly, prime_bound: int) -> SolubilityCertificate:
+    """`nonsolubility_certificate` of a p the caller knows to be irreducible,
+    such as a factor from `factor_over_q`; p is not factored again."""
     if prime_bound > MAX_PRIME_BOUND:
         raise InputError(f"prime bound {prime_bound} exceeds the limit {MAX_PRIME_BOUND}")
     p = p.normalized()
-    factors = factor_over_q(p)
-    if len(factors) != 1 or factors[0][1] != 1:
-        raise InputError("polynomial is reducible; factor first and certify the pieces")
     n = p.degree
     rules = tuple(rules_for_degree(n))
     if _degree_can_refute(n):

@@ -2,17 +2,24 @@
 
 Each scans every vertex subset, edge set, branch set or prime directly, or
 keeps a slower definition the package has replaced (contractibility by
-contracting, rigid components of every edge of every G - x).  None of them is
-used by the package itself.
+contracting, rigid components of every edge of every G - x, the resultant's
+subresultant sequence over Fraction-valued polynomials).  None of them is used
+by the package itself.
 """
 
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 from rigicert.algebra.multipoly import MultiPoly
 from rigicert.algebra.unipoly import UniPoly, degree_multiset_mod, poly_gcd, primes_up_to
-from rigicert.errors import DegenerateInputError, InputError, UnsupportedSizeError
+from rigicert.errors import (
+    DegenerateInputError,
+    InputError,
+    InternalInvariantError,
+    UnsupportedSizeError,
+)
 from rigicert.graph import Edge, Graph, canonical_form, contract_edge, edge
 from rigicert.rigidity import _PebbleGame, is_laman, triangles_through
 
@@ -212,6 +219,101 @@ def sylvester_matrix(f: MultiPoly, g: MultiPoly, var: str) -> list[list[MultiPol
             row[i + j] = c
         rows.append(row)
     return rows
+
+
+def divexact(a: MultiPoly, divisor: MultiPoly) -> MultiPoly:
+    """Exact division by lexicographic leading terms; raises if the divisor
+    does not divide evenly."""
+    if divisor.is_zero():
+        raise InputError("division by the zero polynomial")
+    remainder = dict(a.terms)
+    quotient: dict[tuple[int, ...], Fraction] = {}
+    lead_e = max(divisor.terms)
+    lead_c = divisor.terms[lead_e]
+    while remainder:
+        exps = max(remainder)
+        q_exps = tuple(x - y for x, y in zip(exps, lead_e))
+        if any(e < 0 for e in q_exps):
+            raise InternalInvariantError("inexact polynomial division")
+        q_coeff = remainder[exps] / lead_c
+        quotient[q_exps] = q_coeff
+        for d_exps, d_coeff in divisor.terms.items():
+            key = tuple(x + y for x, y in zip(q_exps, d_exps))
+            val = remainder.get(key, Fraction(0)) - q_coeff * d_coeff
+            if val:
+                remainder[key] = val
+            else:
+                remainder.pop(key, None)
+    return MultiPoly(a.variables, quotient)
+
+
+def _strip(coeffs: list[MultiPoly]) -> list[MultiPoly]:
+    while coeffs and coeffs[-1].is_zero():
+        coeffs.pop()
+    return coeffs
+
+
+def _pseudo_remainder(a: list[MultiPoly], b: list[MultiPoly]) -> list[MultiPoly]:
+    """prem(a, b) = lc(b)^(deg a - deg b + 1) * a mod b, all over the coefficient ring."""
+    db = len(b) - 1
+    lb = b[-1]
+    r = list(a)
+    e = len(a) - len(b) + 1
+    while _strip(r) and len(r) - 1 >= db:
+        lr = r[-1]
+        shift = len(r) - 1 - db
+        r = [c * lb for c in r[:-1]]
+        for i, bc in enumerate(b[:-1]):
+            r[shift + i] = r[shift + i] - lr * bc
+        e -= 1
+        _strip(r)
+    if e > 0:
+        scale = lb**e
+        r = [c * scale for c in r]
+    return _strip(r)
+
+
+def resultant_fraction_prs(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
+    """`resultant` by the same subresultant sequence run on Fraction-valued
+    MultiPoly coefficients, with no integer scaling and no dense form."""
+    if f.is_zero() or g.is_zero():
+        raise InputError("resultant requires nonzero polynomials")
+    a = _strip(f.coefficients_in(var))
+    b = _strip(g.coefficients_in(var))
+    da, db = len(a) - 1, len(b) - 1
+    if da == 0 and db == 0:
+        raise DegenerateInputError(f"neither polynomial involves {var!r}")
+    if da == 0:
+        return a[0] ** db
+    if db == 0:
+        return b[0] ** da
+    sign = -1 if (da % 2 == 1 and db % 2 == 1 and da < db) else 1
+    if da < db:
+        a, b = b, a
+    one = MultiPoly.constant(f.variables, 1)
+    g_prev, h_prev = one, one
+    while True:
+        da, db = len(a) - 1, len(b) - 1
+        delta = da - db
+        if da % 2 == 1 and db % 2 == 1:
+            sign = -sign
+        r = _pseudo_remainder(a, b)
+        if not r:
+            return MultiPoly.zero(f.variables)
+        a = b
+        divisor = g_prev * (h_prev**delta)
+        b = [divexact(c, divisor) for c in r]
+        g_prev = a[-1]
+        if delta == 1:
+            h_prev = g_prev
+        elif delta > 1:
+            h_prev = divexact(g_prev**delta, h_prev ** (delta - 1))
+        if len(b) - 1 == 0:
+            d_last = len(a) - 1
+            numerator = b[0] ** d_last
+            if d_last > 1:
+                numerator = divexact(numerator, h_prev ** (d_last - 1))
+            return numerator if sign == 1 else -numerator
 
 
 def poly_is_not_squarefree(p: UniPoly) -> bool:

@@ -302,6 +302,18 @@ def test_k33_bad_distances(capsys):
     assert code == 2  # nonpositive distance is a precondition failure
 
 
+def test_k33_distance_digit_limit(capsys):
+    limit = cli.MAX_DISTANCE_DIGITS
+    longest = f"{10**limit - 1}/{10**limit - 2}"
+    code, out, err = run_cli(capsys, "k33", "--distances", f"{longest},1,1,1,1/4,4,9/16,9/4", "--prime-bound", "50")
+    assert code == 0 and err == ""
+    assert report_of(out)["result"]["distances"][0] == longest
+    for token in (f"{10**limit + 7}/{10**limit + 3}", f"1/{10**limit}", "0." + "1" * limit, f"-{10**limit}"):
+        code, out, err = run_cli(capsys, "k33", "--distances", f"1,1,1,1,1/4,4,9/16,{token}")
+        assert code == 1 and out == ""
+        assert err == f"parse error: distance d8 has a numerator or denominator of more than {limit} digits\n"
+
+
 def test_k33_prime_bound_limit(capsys):
     code, out, err = run_cli(capsys, "k33", "--prime-bound", "1000000000000")
     assert code == 2 and out == ""

@@ -6,7 +6,7 @@ import pytest
 from rigicert.algebra.multipoly import MultiPoly, resultant
 from rigicert.errors import DegenerateInputError, InputError
 
-from oracles import sylvester_matrix
+from oracles import divexact, resultant_fraction_prs, sylvester_matrix
 
 
 def fraction_det(matrix):
@@ -73,9 +73,9 @@ def test_divexact():
     x = MultiPoly.variable(vs, "x")
     y = MultiPoly.variable(vs, "y")
     a = (x + y) * (x - y)
-    assert a.divexact(x + y) == x - y
+    assert divexact(a, x + y) == x - y
     product = (x * y + MultiPoly.constant(vs, 2)) * (x ** 2 - y)
-    assert product.divexact(x ** 2 - y) == x * y + MultiPoly.constant(vs, 2)
+    assert divexact(product, x ** 2 - y) == x * y + MultiPoly.constant(vs, 2)
 
 
 def test_resultant_pinned_examples():
@@ -171,3 +171,181 @@ def test_resultant_multiplicativity():
         lhs = resultant(f1 * f2, g, "x").constant_value()
         rhs = resultant(f1, g, "x").constant_value() * resultant(f2, g, "x").constant_value()
         assert lhs == rhs
+
+
+def bareiss_det(matrix):
+    """Determinant over a polynomial ring by fraction-free (Bareiss)
+    elimination, each step an exact division by the previous pivot (test
+    oracle; shares no code with the resultant kernel)."""
+    m = [row[:] for row in matrix]
+    n = len(m)
+    negate = False
+    previous = None
+    for k in range(n - 1):
+        pivot = next((r for r in range(k, n) if not m[r][k].is_zero()), None)
+        if pivot is None:
+            return MultiPoly.zero(m[0][0].variables)
+        if pivot != k:
+            m[k], m[pivot] = m[pivot], m[k]
+            negate = not negate
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                entry = m[k][k] * m[i][j] - m[i][k] * m[k][j]
+                m[i][j] = entry if previous is None else divexact(entry, previous)
+        previous = m[k][k]
+    return -m[-1][-1] if negate else m[-1][-1]
+
+
+def random_rational(rng, variables, deg, nterms=5, den=4, uses=None, top=2):
+    """A polynomial of degree exactly `deg` in x over the given variables,
+    with exponents at most `top` in the variables of `uses` (default: all)
+    and coefficients a/b with 1 <= b <= den."""
+    uses = variables if uses is None else uses
+
+    def exponent(v, lead):
+        if v == "x":
+            return deg if lead else rng.randint(0, deg)
+        return rng.randint(0, 1 if lead else top) if v in uses else 0
+
+    terms = {}
+    for _ in range(nterms):
+        exps = tuple(exponent(v, False) for v in variables)
+        terms[exps] = Fraction(rng.randint(-9, 9), rng.randint(1, den))
+    lead = tuple(exponent(v, True) for v in variables)
+    terms[lead] = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, den))
+    return MultiPoly(variables, terms)
+
+
+def assert_matches_oracles(f, g):
+    res = resultant(f, g, "x")
+    assert res == resultant_fraction_prs(f, g, "x")
+    assert res == bareiss_det(sylvester_matrix(f, g, "x"))
+    return res
+
+
+VARIABLE_SETS = (("x",), ("x", "y"), ("y", "x", "z"))
+
+
+def test_resultant_matches_oracles_on_random_rational_polynomials():
+    rng = random.Random(127)
+    for variables in VARIABLE_SETS:
+        top = 5 if len(variables) == 1 else 3
+        for _ in range(40):
+            f = random_rational(rng, variables, rng.randint(1, top))
+            g = random_rational(rng, variables, rng.randint(1, top))
+            assert_matches_oracles(f, g)
+
+
+def test_resultant_sign_with_odd_degrees_and_the_smaller_first():
+    rng = random.Random(131)
+    for variables in VARIABLE_SETS:
+        for da, db in ((1, 3), (3, 5), (1, 5), (3, 3)):
+            f = random_rational(rng, variables, da)
+            g = random_rational(rng, variables, db)
+            res = assert_matches_oracles(f, g)
+            # res(g, f) = (-1)^(deg f deg g) res(f, g), here -res(f, g)
+            assert resultant(g, f, "x") == -res
+
+
+def remainder_chain(rng, variables, degrees):
+    """(f, g) whose remainder sequence in x has the given degrees: from the
+    last two up, each polynomial is a multiple of the next plus the one after."""
+    chain = [random_rational(rng, variables, d, nterms=2, top=1) for d in degrees[-2:]]
+    for d, d_next in zip(reversed(degrees[:-2]), reversed(degrees[1:-1])):
+        q = random_rational(rng, variables, d - d_next, nterms=2, top=1)
+        chain.insert(0, q * chain[0] + chain[1])
+    return chain[0], chain[1]
+
+
+def test_resultant_degree_gaps():
+    """Remainder degrees that drop by two at every step: past the first step
+    the subresultant update divides by a power of an h_prev that is not 1,
+    and a last drop from degree 2 to 0 divides the result by h_prev."""
+    rng = random.Random(137)
+    for variables in VARIABLE_SETS[:2]:
+        for degrees in ((7, 5, 3, 1, 0), (6, 4, 2, 0), (5, 3, 0)):
+            for _ in range(3):
+                f, g = remainder_chain(rng, variables, degrees)
+                assert (f.degree_in("x"), g.degree_in("x")) == degrees[:2]
+                assert_matches_oracles(f, g)
+                assert_matches_oracles(g, f)
+
+
+def test_resultant_of_a_common_factor_is_zero():
+    rng = random.Random(139)
+    for variables in VARIABLE_SETS:
+        for _ in range(8):
+            h = random_rational(rng, variables, rng.randint(1, 2), nterms=3, top=1)
+            f = h * random_rational(rng, variables, rng.randint(1, 2), nterms=3, top=1)
+            g = h * random_rational(rng, variables, rng.randint(0, 2), nterms=3, top=1)
+            assert assert_matches_oracles(f, g).is_zero()
+
+
+def test_resultant_with_an_operand_constant_in_var():
+    rng = random.Random(149)
+    vs = ("x", "y", "z")
+    for _ in range(8):
+        c = random_rational(rng, vs, 0)
+        g = random_rational(rng, vs, rng.randint(1, 3))
+        assert assert_matches_oracles(c, g) == c ** g.degree_in("x")
+        assert assert_matches_oracles(g, c) == c ** g.degree_in("x")
+    three = MultiPoly.constant(("x",), Fraction(3, 7))
+    assert resultant(three, uni([1, 0, 1]), "x").constant_value() == Fraction(9, 49)
+
+
+def test_resultant_with_a_variable_only_one_operand_uses():
+    rng = random.Random(151)
+    vs = ("w", "x", "y", "z")
+    for _ in range(10):
+        f = random_rational(rng, vs, rng.randint(1, 3), uses=("y",))
+        g = random_rational(rng, vs, rng.randint(1, 3), uses=("z",))
+        res = assert_matches_oracles(f, g)
+        assert "w" not in res.used_variables()
+
+
+def test_resultant_with_large_denominators():
+    rng = random.Random(157)
+    for variables in VARIABLE_SETS[:2]:
+        for _ in range(10):
+            f, g = (
+                random_rational(rng, variables, rng.randint(1, 4), den=10**30)
+                for _ in range(2)
+            )
+            f = f.scale(Fraction(rng.randint(1, 10**25), 10**40 + 7))
+            assert_matches_oracles(f, g)
+
+
+def test_resultant_variable_errors():
+    vs = ("x", "y")
+    x = MultiPoly.variable(vs, "x")
+    with pytest.raises(InputError):
+        resultant(x, x, "z")
+    with pytest.raises(InputError):
+        resultant(x, MultiPoly.variable(("x",), "x"), "x")
+
+
+# h1 = res_x4(g_34, g_45) and h2 = res_x6(g_56, g_36) at the published
+# specialization, as {(deg x3, deg x5): coefficient}
+H1 = {
+    (0, 0): "2025/4", (0, 1): "3375/2", (0, 2): "8073/4", (0, 3): "684", (0, 4): "288",
+    (1, 0): "-6750", (1, 1): "-1944", (1, 2): "-414", (1, 3): "-972", (1, 4): "-288",
+    (2, 0): "16632", (2, 1): "-5544", (2, 2): "-6192", (2, 3): "288", (3, 0): "-14976",
+    (3, 1): "10368", (3, 2): "4608", (4, 0): "4608", (4, 1): "-4608",
+}
+H2 = {
+    (0, 0): "-279207/1024", (0, 1): "55917/128", (0, 2): "22021/32", (0, 3): "-1650",
+    (0, 4): "800", (1, 0): "-46521/512", (1, 1): "-22123/64", (1, 2): "12219/32",
+    (1, 3): "850", (1, 4): "-800", (2, 0): "384857/1024", (2, 1): "-20703/128",
+    (2, 2): "-4047/4", (2, 3): "800", (3, 0): "735/16", (3, 1): "-2303/16", (3, 2): "98",
+    (4, 0): "98", (4, 1): "-98",
+}
+
+
+def test_published_elimination_pinned():
+    from rigicert.algebra.systems import K33_SPECIAL_DISTANCES, eliminate_to_x3, k33_system, square_eliminate_y
+
+    result = eliminate_to_x3(square_eliminate_y(k33_system(K33_SPECIAL_DISTANCES)))
+    for h, pinned in ((result.h1, H1), (result.h2, H2)):
+        assert h.variables == ("x3", "x4", "x5", "x6")
+        assert h.terms == {(a, 0, b, 0): Fraction(c) for (a, b), c in pinned.items()}
+    assert result.raw_content == Fraction(-531441, 16777216)

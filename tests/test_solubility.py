@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 import sympy
@@ -8,13 +9,15 @@ from rigicert.algebra.solubility import (
     RULE_JORDAN,
     RULE_TABLE,
     SolubilityVerdict,
+    _certificate,
     cycle_type,
     maximal_soluble_transitive_groups,
     nonsolubility_certificate,
     rules_for_degree,
     soluble_cycle_types,
 )
-from rigicert.algebra.unipoly import UniPoly
+from rigicert.algebra.systems import eliminate_to_x3, k33_system, square_eliminate_y
+from rigicert.algebra.unipoly import UniPoly, factor_over_q
 from rigicert.errors import InputError
 
 from oracles import frobenius_cycle_types
@@ -103,6 +106,29 @@ def test_certificate_prime_bound_limit():
     assert nonsolubility_certificate(p, MAX_PRIME_BOUND).verdict == SolubilityVerdict.NOT_SOLUBLE
     with pytest.raises(InputError, match=f"limit {MAX_PRIME_BOUND}"):
         nonsolubility_certificate(p, MAX_PRIME_BOUND + 1)
+
+
+def test_certificate_of_a_known_factor_matches_the_public_one():
+    """`k33` certifies each factor from `factor_over_q` without factoring it
+    again; on every default-seed benchmark vector that gives the certificate
+    the public function gives."""
+    items = Path(__file__).parents[1] / "bench" / "inputs" / "seed-1" / "k33" / "items.txt"
+    vectors = [line.split()[-1].split(",") for line in items.read_text().splitlines()]
+    certified = 0
+    for distances in vectors:
+        elimination = eliminate_to_x3(square_eliminate_y(k33_system(distances)))
+        for factor, _ in factor_over_q(elimination.eliminant):
+            if factor.degree >= 2:
+                assert _certificate(factor, 10000) == nonsolubility_certificate(factor, 10000)
+                certified += 1
+    assert len(vectors) == 49 and certified >= 49
+
+
+def test_certificate_prime_bound_refused_before_factoring():
+    with pytest.raises(InputError, match="exceeds the limit"):
+        nonsolubility_certificate(UniPoly([-1, 0, 1]), 10**7)
+    with pytest.raises(InputError, match="exceeds the limit"):
+        _certificate(UniPoly(DEG6_FACTOR), 10**7)
 
 
 def test_soluble_controls_stay_inconclusive():
