@@ -11,15 +11,16 @@ records a redundant edge.  Conflating them misclassifies blocks such as
 K4-minus-an-edge, which is quadratically soluble yet 3-connected once its
 redundant edge is included.
 
-A separation pair is the `Edge` (a, b) that `separation_pairs` returns; each
-separation `decompose_unique` performs is recorded once, as the
-`SeparationEvent` that holds the pair, the parts' freedoms and whether ab was
-an edge.
+A separation pair is an `Edge` (a, b), a < b.  Both decompositions split a
+block at its least separation pair, the first one the enumeration behind
+`is_m_connected` yields, so the split order is fixed and no block ever lists
+all of its pairs.  Each separation `decompose_unique` performs is recorded
+once, as the `SeparationEvent` that holds the pair, the parts' freedoms and
+whether ab was an edge.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -31,6 +32,7 @@ from .graph import (
     Edge,
     Graph,
     SeparationEvent,
+    _separating_sets,
     canonical_form,
     contract_edge,
     edge,
@@ -38,7 +40,6 @@ from .graph import (
     is_m_connected,
     is_planar,
     separation_blocks,
-    separation_pairs,
 )
 from .rigidity import (
     _choose_mi_subgraph,
@@ -54,12 +55,11 @@ from .rigidity import (
 )
 
 
-def _block_separation_pairs(b: Block) -> list[Edge]:
-    """Separation pairs of a working block, virtual and redundant edges included."""
-    g = b.subgraph
-    if g.n < 4:
-        return []
-    return separation_pairs(g)
+def _first_separation_pair(b: Block) -> Edge | None:
+    """The least separation pair of a working block, virtual and redundant
+    edges included; None for a 3-connected block and for one of fewer than 4
+    vertices, which no pair separates."""
+    return next(_separating_sets(b.subgraph, 2), None)
 
 
 def _split_block(b: Block, pair: Edge) -> tuple[list[Block], SeparationEvent]:
@@ -100,13 +100,13 @@ def _assert_freedom_pattern(had_edge: bool, freedoms: list[int], pair: Edge) -> 
             )
 
 
-def decompose_unique(g: Graph, rng: random.Random | None = None) -> BlockDecomposition:
+def decompose_unique(g: Graph) -> BlockDecomposition:
     """The unique decomposition into 3-cycles and 3-connected blocks.
 
-    The optional rng picks which block to split next and at which of its
-    separation pairs; the resulting block set is provably order-independent,
-    which the test-suite exercises.  `events` lists the separations in the
-    order they were performed.
+    Blocks are split first in, first out, each at its least separation pair.
+    The block set does not depend on that order (the decomposition is unique),
+    which the test-suite checks on relabelled inputs.  `events` lists the
+    separations in the order they were performed.
     """
     if not is_laman(g):
         raise InputError("block decomposition is defined for Laman graphs")
@@ -116,15 +116,14 @@ def decompose_unique(g: Graph, rng: random.Random | None = None) -> BlockDecompo
     done: list[Block] = []
     events: list[SeparationEvent] = []
     while work:
-        b = work.pop(0 if rng is None else rng.randrange(len(work)))
-        pairs = _block_separation_pairs(b)
-        if not pairs:
+        b = work.pop(0)
+        pair = _first_separation_pair(b)
+        if pair is None:
             # With no separation pair a block of 4 or more vertices is 3-connected.
             if b.subgraph.n < 4 and not b.is_triangle():
                 raise InternalInvariantError("final block is neither a 3-cycle nor 3-connected")
             done.append(b)
             continue
-        pair = pairs[0] if rng is None else rng.choice(pairs)
         if pair in b.virtual_edges:
             raise InternalInvariantError(
                 "separation pair coincides with a virtual edge; "
@@ -160,24 +159,25 @@ def qs_classify(g: Graph) -> QSClassification:
     Freedom-1 parts get the virtual edge and freedom-0 parts are re-examined
     bare; a 3-connected leaf larger than a triangle is a witness that the
     graph is not quadratically soluble.  A planar witness makes the overall
-    not-RS verdict proven; otherwise it rests on the conjecture.
+    not-RS verdict proven; otherwise it rests on the conjecture.  The
+    recursion runs on an explicit stack, depth-first with the parts in
+    order, so a deep chain of splits cannot exhaust the interpreter's
+    recursion limit.
     """
     if not is_laman(g):
         raise InputError("QS classification is defined for Laman graphs")
     witnesses: list[Block] = []
-
-    def recurse(b: Block) -> None:
+    stack = [Block(g)]
+    while stack:
+        b = stack.pop()
         if b.is_triangle():
-            return
-        pairs = _block_separation_pairs(b)
-        if not pairs:
+            continue
+        pair = _first_separation_pair(b)
+        if pair is None:
             witnesses.append(b)
-            return
-        parts, _ = _split_block(b, pairs[0])
-        for part in parts:
-            recurse(Block(part.core(), part.virtual_edges - part.redundant_flags))
-
-    recurse(Block(g))
+            continue
+        parts, _ = _split_block(b, pair)
+        stack.extend(Block(p.core(), p.virtual_edges - p.redundant_flags) for p in reversed(parts))
     if not witnesses:
         verdict = Verdict.QS
     elif any(is_planar(b.subgraph) for b in witnesses):

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import copy
 import itertools
-import random
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -300,7 +299,7 @@ class CensusResult:
 _CENSUS_RANGE = (3, 8)
 
 
-def henneberg_children(g: Graph, rng: random.Random | None = None) -> list[Graph]:
+def henneberg_children(g: Graph) -> list[Graph]:
     """All one-vertex Henneberg extensions of a Laman graph.
 
     Move I adds a degree-2 vertex; move II splits an edge with a new degree-3
@@ -320,17 +319,11 @@ def henneberg_children(g: Graph, rng: random.Random | None = None) -> list[Graph
                     (g.edges - {edge(u, v)}) | {edge(u, new), edge(v, new), edge(z, new)},
                 )
             )
-    if rng is not None:
-        rng.shuffle(children)
     return children
 
 
-def enumerate_laman(n: int, rng: random.Random | None = None) -> CensusResult:
-    """All Laman graphs on n vertices up to isomorphism, by Henneberg closure.
-
-    The optional rng only shuffles expansion order; the canonical result set
-    is order-independent.
-    """
+def enumerate_laman(n: int) -> CensusResult:
+    """All Laman graphs on n vertices up to isomorphism, by Henneberg closure."""
     lo, hi = _CENSUS_RANGE
     if not lo <= n <= hi:
         raise UnsupportedSizeError(f"census supports {lo} <= n <= {hi}")
@@ -339,11 +332,8 @@ def enumerate_laman(n: int, rng: random.Random | None = None) -> CensusResult:
     level[canonical_form(triangle)] = triangle
     for _ in range(3, n):
         next_level: dict[bytes, Graph] = {}
-        parents = list(level.values())
-        if rng is not None:
-            rng.shuffle(parents)
-        for parent in parents:
-            for child in henneberg_children(parent, rng):
+        for parent in level.values():
+            for child in henneberg_children(parent):
                 key = canonical_form(child)
                 if key in next_level:
                     continue

@@ -3,7 +3,8 @@ import random
 import pytest
 
 from rigicert import rigidity
-from rigicert.graph import Graph, edge
+from rigicert.decomposition import decompose_unique
+from rigicert.graph import Block, Graph, edge
 from rigicert.rigidity import enumerate_laman
 
 
@@ -69,6 +70,37 @@ def two_triangles() -> Graph:
 
 def four_cycle() -> Graph:
     return Graph(range(4), [(0, 1), (1, 2), (2, 3), (0, 3)])
+
+
+def triangle_strip(n: int) -> Graph:
+    """Vertex v joined to v - 1 and v - 2: n - 2 triangles in a row, each
+    block split peeling off one of them."""
+    edges = [(0, 1)] + [(u, v) for v in range(2, n) for u in (v - 2, v - 1)]
+    return Graph(range(n), edges)
+
+
+def relabel(g: Graph, mapping: dict[int, int]) -> Graph:
+    return Graph((mapping[v] for v in g.vertices), (edge(mapping[u], mapping[v]) for u, v in g.edges))
+
+
+def decompose_relabelled(g: Graph, rng: random.Random):
+    """`decompose_unique` of g under a seeded permutation of its labels, with
+    the blocks and the separation pairs mapped back to g's labels."""
+    labels = g.sorted_vertices()
+    shuffled = labels[:]
+    rng.shuffle(shuffled)
+    forward = dict(zip(labels, shuffled))
+    back = {w: v for v, w in forward.items()}
+
+    def edges_back(es):
+        return frozenset(edge(back[u], back[v]) for u, v in es)
+
+    d = decompose_unique(relabel(g, forward))
+    blocks = frozenset(
+        Block(relabel(b.subgraph, back), edges_back(b.virtual_edges), edges_back(b.redundant_flags))
+        for b in d.blocks
+    )
+    return blocks, [edge(back[ev.pair[0]], back[ev.pair[1]]) for ev in d.events]
 
 
 @pytest.fixture(scope="session")

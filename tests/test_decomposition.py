@@ -1,4 +1,7 @@
+import inspect
+import itertools
 import random
+import sys
 
 import pytest
 
@@ -6,6 +9,8 @@ from rigicert.decomposition import (
     StepKind,
     TerminalKind,
     Verdict,
+    _first_separation_pair,
+    _split_block,
     decompose_unique,
     is_doublet,
     qs_classify,
@@ -13,10 +18,21 @@ from rigicert.decomposition import (
     reduce_to_terminal,
 )
 from rigicert.errors import InputError
-from rigicert.graph import Graph, canonical_form, is_m_connected, parse_graph
+from rigicert.graph import (
+    Block,
+    Edge,
+    Graph,
+    canonical_form,
+    connected_components,
+    is_m_connected,
+    is_planar,
+    parse_graph,
+    separation_pairs,
+)
 from rigicert.rigidity import is_basic, is_laman, mi_proper_subgraphs
 
 from conftest import (
+    decompose_relabelled,
     four_cycle,
     g5,
     henneberg_ii_from_k33,
@@ -26,6 +42,7 @@ from conftest import (
     k33,
     prism,
     triangle,
+    triangle_strip,
 )
 
 
@@ -68,12 +85,98 @@ def test_decompose_errors():
 
 
 def test_decompose_order_invariance(census_by_n):
+    # relabelling changes which pair is least, so the split order changes
+    # while the blocks, mapped back, must not
     rng = random.Random(41)
+    reordered = 0
     for n in (6, 7):
         for g in census_by_n[n].representatives:
-            base = frozenset(decompose_unique(g).blocks)
+            d = decompose_unique(g)
+            pairs = [ev.pair for ev in d.events]
             for _ in range(3):
-                assert frozenset(decompose_unique(g, rng=rng).blocks) == base
+                blocks, relabelled_pairs = decompose_relabelled(g, rng)
+                assert blocks == frozenset(d.blocks)
+                reordered += relabelled_pairs != pairs
+    assert reordered > 0
+
+
+def first_pair_oracle(b: Block) -> Edge | None:
+    """The split the decomposition is defined by: the least of all the
+    separation pairs of the block's subgraph."""
+    if b.subgraph.n < 4:
+        return None
+    pairs = separation_pairs(b.subgraph)
+    return pairs[0] if pairs else None
+
+
+def test_first_separation_pair_is_the_least_of_all(census_by_n):
+    # over every block the decomposition meets, virtual edges included
+    blocks = 0
+    for n in range(4, 9):
+        for g in census_by_n[n].representatives:
+            work = [Block(g)]
+            events = []
+            while work:
+                b = work.pop(0)
+                pair = _first_separation_pair(b)
+                assert pair == first_pair_oracle(b)
+                blocks += 1
+                if pair is not None:
+                    parts, event = _split_block(b, pair)
+                    events.append(event)
+                    work.extend(parts)
+            assert tuple(events) == decompose_unique(g).events
+    assert blocks > sum(len(census_by_n[n].representatives) for n in range(4, 9))
+
+    rng = random.Random(53)
+    connected = 0
+    while connected < 300:
+        n = rng.randint(4, 9)
+        p = rng.uniform(0.25, 0.7)
+        g = Graph(range(n), [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
+        if len(connected_components(g)) == 1:
+            assert _first_separation_pair(Block(g)) == first_pair_oracle(Block(g))
+            connected += 1
+
+
+def qs_witnesses_oracle(b: Block) -> list[Block]:
+    """`qs_classify`'s witnesses by the recursive definition, in order."""
+    if b.is_triangle():
+        return []
+    pair = first_pair_oracle(b)
+    if pair is None:
+        return [b]
+    parts, _ = _split_block(b, pair)
+    return [w for p in parts for w in qs_witnesses_oracle(Block(p.core(), p.virtual_edges - p.redundant_flags))]
+
+
+def test_qs_classify_witnesses_in_recursive_order(census_by_n):
+    graphs = [g for n in range(4, 9) for g in census_by_n[n].representatives]
+    # K(3,3), the prism and K(3,3) again, glued at the edges (0,1) and (7,8)
+    prism_edges = {(0, 1), (1, 6), (0, 6), (7, 8), (8, 9), (7, 9), (0, 7), (1, 8), (6, 9)}
+    glued = Graph(
+        range(14),
+        k33(labels=(0, 2, 3, 1, 4, 5)).edges | prism_edges | k33(labels=(7, 10, 11, 8, 12, 13)).edges,
+    )
+    witnesses = qs_classify(glued).witness_blocks
+    assert is_laman(glued) and [b.subgraph.n for b in witnesses] == [6, 6, 6]
+    assert [is_planar(b.subgraph) for b in witnesses] == [False, True, False]
+    for g in graphs + [glued]:
+        assert list(qs_classify(g).witness_blocks) == qs_witnesses_oracle(Block(g))
+
+
+def test_deep_chains_of_splits_need_no_recursion():
+    g = triangle_strip(60)
+    depth = len(inspect.stack(0))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 40)
+    try:
+        c = qs_classify(g)
+        d = decompose_unique(g)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert c.verdict == Verdict.QS and c.witness_blocks == ()
+    assert len(d.blocks) == 58 and all(b.is_triangle() for b in d.blocks)
 
 
 def test_decompose_freedom_pattern_events(census_by_n):

@@ -333,8 +333,8 @@ def test_enumerate_laman_all_laman_and_stable(census_by_n):
         census = census_by_n[n]
         for g in census.representatives:
             assert is_laman(g)
-        shuffled = enumerate_laman(n, rng=random.Random(99))
-        assert shuffled.laman_canonical_forms == census.laman_canonical_forms
+        again = enumerate_laman(n)
+        assert again.representatives == census.representatives
 
 
 def test_basic_census_counts(census_by_n):
