@@ -16,9 +16,15 @@ a transitive group from observed cycle types:
                        per degree, plus the affine semilinear group AGL(1,8)
                        twisted by Frobenius at degree 8).
 
-At degrees 2, 3, 4, 5 and 7 no cycle type meets any rule, so the certificate
-ends INCONCLUSIVE at once there, without scanning a prime.  Prime bounds above
-MAX_PRIME_BOUND are refused with InputError.
+The sieve asks each prime only what a rule can answer.  Once per degree it
+collects the count prefixes (c_1, ..., c_d) of the cycle types that meet a
+rule, c_i the number of i-cycles, and it stops the distinct-degree sweep of a
+prime as soon as the factor counts found so far are no such prefix; at degree
+16 that is after degree 1 for most primes, since c_1 must be 3 or 5.  Only a
+prime that gets through the whole sweep is tested for a squarefree
+reduction.  At degrees 2, 3, 4, 5 and 7 no cycle type meets any rule, so the
+certificate ends INCONCLUSIVE at once there, without scanning a prime.  Prime
+bounds above MAX_PRIME_BOUND are refused with InputError.
 """
 
 from __future__ import annotations
@@ -29,7 +35,16 @@ from functools import lru_cache
 from typing import Iterator, Sequence
 
 from ..errors import InputError
-from .unipoly import UniPoly, degree_multiset_mod, factor_over_q, is_prime, primes_up_to
+from .unipoly import (
+    UniPoly,
+    _distinct_degree_steps,
+    factor_over_q,
+    gf_from_int,
+    gf_is_squarefree,
+    gf_monic,
+    is_prime,
+    primes_up_to,
+)
 
 Permutation = tuple[int, ...]
 
@@ -229,10 +244,40 @@ def _partitions(n: int) -> Iterator[tuple[int, ...]]:
 
 
 @lru_cache(maxsize=None)
-def _degree_can_refute(n: int) -> bool:
-    """Whether some cycle type of degree n meets a rule.  Where none does, no
-    prime can give a witness, and the certificate skips the sweep."""
-    return any(_rule_hit(t, n) is not None for t in _partitions(n))
+def _rule_prefixes(n: int) -> frozenset[tuple[int, ...]]:
+    """Every count prefix (c_1, ..., c_d), 1 <= d <= n, of a cycle type of
+    degree n that meets a rule, c_i its number of i-cycles.  Empty where no
+    type meets a rule: then no prime can give a witness."""
+    prefixes: set[tuple[int, ...]] = set()
+    for t in _partitions(n):
+        if _rule_hit(t, n) is not None:
+            counts = tuple(t.count(i) for i in range(1, n + 1))
+            prefixes.update(counts[:d] for d in range(1, n + 1))
+    return frozenset(prefixes)
+
+
+def _rule_meeting_type_mod(p: UniPoly, q: int, prefixes: frozenset[tuple[int, ...]]) -> tuple[int, ...] | None:
+    """The degree multiset of p mod q where p mod q is squarefree and its
+    whole count vector is in `prefixes`, that is, where it is a cycle type
+    that meets a rule; else None.  q must not divide the leading coefficient.
+
+    The distinct-degree sweep stops as soon as the counts found so far are
+    no prefix, and only a reduction that gets through the whole sweep is
+    tested for being squarefree.  A prime that stops early is one whose
+    cycle type meets no rule; a reduction that is not squarefree stops early
+    or fails the test.  So the answer is that of `degree_multiset_mod`
+    followed by `_rule_hit`.
+    """
+    f = gf_monic(gf_from_int(p.coeffs, q), q)
+    counts: list[int] = []
+    for g, d in _distinct_degree_steps(f, q):
+        counts += [0] * (d - 1 - len(counts))  # degrees the last step jumps over
+        counts.append((len(g) - 1) // d)
+        if tuple(counts) not in prefixes:
+            return None
+    if not gf_is_squarefree(f, q):
+        return None
+    return tuple(d for d, c in enumerate(counts, 1) for _ in range(c))
 
 
 def nonsolubility_certificate(p: UniPoly, prime_bound: int = 10000) -> SolubilityCertificate:
@@ -254,14 +299,13 @@ def _certificate(p: UniPoly, prime_bound: int) -> SolubilityCertificate:
     p = p.normalized()
     n = p.degree
     rules = tuple(rules_for_degree(n))
-    if _degree_can_refute(n):
+    prefixes = _rule_prefixes(n)
+    if prefixes:
         for q in primes_up_to(prime_bound):
             if p.leading % q == 0:
                 continue
-            multiset = degree_multiset_mod(p, q)
-            if multiset is None:
-                continue
-            rule = _rule_hit(multiset, n)
-            if rule is not None:
-                return SolubilityCertificate(p, SolubilityVerdict.NOT_SOLUBLE, (q, multiset, rule), rules, prime_bound)
+            multiset = _rule_meeting_type_mod(p, q, prefixes)
+            if multiset is not None:
+                witness = (q, multiset, _rule_hit(multiset, n))
+                return SolubilityCertificate(p, SolubilityVerdict.NOT_SOLUBLE, witness, rules, prime_bound)
     return SolubilityCertificate(p, SolubilityVerdict.INCONCLUSIVE, None, rules, prime_bound)

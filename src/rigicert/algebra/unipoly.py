@@ -3,15 +3,20 @@
 The factorization pipeline is the classical one: Yun squarefree decomposition,
 Cantor-Zassenhaus factorization modulo a good prime, quadratic multifactor
 Hensel lifting past the Mignotte bound, and subset recombination.  Everything
-runs on Python's arbitrary-precision integers.
+runs on Python's arbitrary-precision integers.  The gcds of Yun's algorithm
+come from the heuristic gcd GCDHEU (`poly_gcd`): one integer gcd of the two
+operands' values at a large point, read back as a polynomial and accepted only
+after trial division.
 
 The distinct-degree step over GF(q) follows von zur Gathen & Shoup: x^q mod f
-is computed once, the rows x^(iq) mod f of the Frobenius matrix follow, and
-each degree then costs one vector-matrix product h -> h(x^q) instead of a
-modular q-th power.  That kernel packs each coefficient vector into 64-bit
-slots of one Python int (Kronecker substitution), so products and sums run in
-C big-int arithmetic.  A slot sums at most deg f products of two residues, so
-the kernel requires deg f * q^2 < 2^63 and raises InputError beyond it.
+is computed once, and each degree then costs one vector-matrix product
+h -> h(x^q) with the Frobenius matrix, whose rows are x^(iq) mod f, instead of
+a modular q-th power.  The rows past x^q are built only when degree 2 is
+reached, so a caller that stops after degree 1 pays for x^q alone.  That
+kernel packs each coefficient vector into 64-bit slots of one Python int
+(Kronecker substitution), so products and sums run in C big-int arithmetic.
+A slot sums at most deg f products of two residues, so the kernel requires
+deg f * q^2 < 2^63 and raises InputError beyond it.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ import operator
 import random
 import struct
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from ..errors import InputError, InternalInvariantError
 
@@ -159,43 +164,44 @@ class UniPoly:
 
 
 def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
-    """Greatest common divisor over Z, primitive with positive leading coefficient."""
+    """Greatest common divisor over Z: the gcd of the contents times the
+    primitive gcd, which has positive leading coefficient.
+
+    The primitive gcd comes from the heuristic gcd GCDHEU (Char, Geddes &
+    Gonnet, J. Symb. Comput. 7, 1989).  Both primitive operands F = D*F1 and
+    G = D*G1, D their gcd, are evaluated at an integer xi >= 2*min(|F|, |G|)
+    + 2 (max norms), and the balanced xi-adic digits of gamma' =
+    gcd(F(xi), G(xi)) are read back as a candidate C.  The primitive part of
+    C is returned only if it divides both F and G; by the theorem of Char,
+    Geddes & Gonnet it is then D.  Otherwise xi grows and the step repeats.
+
+    The loop needs no cap.  gamma' = |D(xi)| * gamma with gamma =
+    gcd(F1(xi), G1(xi)), and gamma divides res(F1, G1), which is nonzero
+    because F1 and G1 are coprime (res = u*F1 + v*G1 with integer u, v).
+    So once xi > 2*|res(F1, G1)|*|D|, every coefficient of gamma*D lies
+    below xi/2, the digits are exactly gamma*D, and their primitive part is
+    D.  Every answer is exact because of the trial division.
+    """
     if a.is_zero():
         return b.normalized()
     if b.is_zero():
         return a.normalized()
     cont = math.gcd(a.content(), b.content())
-    f, g = list(a.normalized().coeffs), list(b.normalized().coeffs)
-    if len(f) < len(g):
-        f, g = g, f
-    # primitive PRS: pseudo-remainders, stripped to primitive parts each step
+    f, g = a.normalized(), b.normalized()
+    xi = 2 * min(max(map(abs, f.coeffs)), max(map(abs, g.coeffs))) + 2
     while True:
-        r = _pseudo_rem_int(f, g)
-        if not r:
-            gcd_part = UniPoly(g).normalized()
-            break
-        c = math.gcd(*r)
-        r = [x // c for x in r]
-        f, g = g, r
-        if len(g) == 1:
-            gcd_part = UniPoly([1])
-            break
-    return gcd_part.scale(cont)
-
-
-def _pseudo_rem_int(a: list[int], b: list[int]) -> list[int]:
-    db = len(b) - 1
-    lb = b[-1]
-    r = list(a)
-    while len(r) - 1 >= db and any(r):
-        lr = r[-1]
-        shift = len(r) - 1 - db
-        r = [c * lb for c in r[:-1]]
-        for i in range(db):
-            r[shift + i] -= lr * b[i]
-        while r and r[-1] == 0:
-            r.pop()
-    return r
+        h = math.gcd(f.evaluate(xi), g.evaluate(xi))
+        digits = []
+        while h:
+            c = h % xi
+            if 2 * c > xi:
+                c -= xi
+            digits.append(c)
+            h = (h - c) // xi
+        cand = UniPoly(digits).normalized()
+        if f.try_divide(cand) is not None and g.try_divide(cand) is not None:
+            return cand.scale(cont)
+        xi = xi * 73794 // 27011  # geometric growth, by about e
 
 
 def squarefree_decomposition(p: UniPoly) -> list[tuple[UniPoly, int]]:
@@ -362,9 +368,8 @@ def _unpack(x: int, slots: int, q: int) -> list[int]:
     return [c % q for c in struct.unpack(f"<{slots}Q", x.to_bytes(8 * slots, "little"))]
 
 
-def _frobenius_rows(f: list[int], q: int) -> list[int]:
-    """Packed x^(iq) mod f for i < n = deg f >= 2, f monic: the rows of the
-    matrix of h -> h^q = h(x^q) on GF(q)[x]/(f).
+def _frobenius_mulmod(f: list[int], q: int):
+    """Product mod f of two packed residues, for monic f of degree n >= 2.
 
     Products run on packed ints, reduced with a packed table of x^k mod f
     for k = n..2n-2.  A slot sums at most n products of two coefficients
@@ -386,46 +391,64 @@ def _frobenius_rows(f: list[int], q: int) -> list[int]:
         acc = _pack(c[:n]) + sum(map(operator.mul, c[n:], table))
         return _pack(_unpack(acc, n, q))
 
-    x = _pack([0, 1] + [0] * (n - 2))
-    xq = x
-    for bit in bin(q)[3:]:  # left-to-right square-and-multiply
-        xq = mulmod(xq, xq)
-        if bit == "1":
-            xq = mulmod(xq, x)
-    rows = [_pack([1] + [0] * (n - 1)), xq]
-    while len(rows) < n:
-        rows.append(mulmod(rows[-1], xq))
-    return rows
+    return mulmod
 
 
-def gf_distinct_degree(f: list[int], q: int) -> list[tuple[list[int], int]]:
-    """[(product of irreducible factors of degree d, d)] for monic squarefree f.
+def _distinct_degree_steps(f: list[int], q: int) -> Iterator[tuple[list[int], int]]:
+    """(g, d) for d = 1, 2, ... on monic squarefree f: g the monic product of
+    the irreducible factors of degree d, [1] where there is none.  Once 2d
+    exceeds the degree m of the cofactor `work` left, work is irreducible,
+    and the last pair is (work, m).  The pairs with g != [1] are the
+    distinct-degree split.
 
-    h runs through x^(q^d) mod f, one product with the Frobenius matrix per
-    degree.  It stays reduced mod f, not mod the shrinking cofactor `work`:
-    work divides f, so gcd(h - x, work) is the same.
+    h runs through x^(q^d) mod f.  x^q comes by square-and-multiply; the
+    other rows x^(iq) mod f of the Frobenius matrix, the matrix of
+    h -> h^q = h(x^q) on GF(q)[x]/(f), are built only when degree 2 is asked
+    for, so a caller that stops after degree 1 pays for x^q alone.  Each
+    later degree is one product of h with the matrix.  h stays reduced mod f,
+    not mod the shrinking cofactor: work divides f, so gcd(h - x, work) is
+    the same.  On a non-squarefree f the pairs mean nothing, but the steps
+    still end.
     """
     n = len(f) - 1
     if n * q * q >= _SLOT_LIMIT:
         raise InputError(
             f"GF({q}) kernel needs deg * q^2 < 2^63; degree {n} at modulus {q} exceeds it"
         )
-    rows = _frobenius_rows(f, q) if n >= 2 else []
-    out = []
-    h = [0, 1]  # x
     work = list(f)
     d = 0
-    while len(work) - 1 > 0:
+    while len(work) > 1:
         d += 1
         if 2 * d > len(work) - 1:
-            out.append((work, len(work) - 1))
-            break
-        h = gf_strip(_unpack(sum(map(operator.mul, h, rows)), n, q))
+            yield work, len(work) - 1
+            return
+        if d == 1:
+            mulmod = _frobenius_mulmod(f, q)
+            x = _pack([0, 1] + [0] * (n - 2))
+            xq = x
+            for bit in bin(q)[3:]:  # left-to-right square-and-multiply
+                xq = mulmod(xq, xq)
+                if bit == "1":
+                    xq = mulmod(xq, x)
+            h = _unpack(xq, n, q)
+        else:
+            if d == 2:
+                rows = [_pack([1] + [0] * (n - 1)), xq]
+                while len(rows) < n:
+                    rows.append(mulmod(rows[-1], xq))
+            h = _unpack(sum(map(operator.mul, h, rows)), n, q)
         g = gf_gcd(gf_sub(h, [0, 1], q), work, q)
         if len(g) > 1:
-            out.append((g, d))
             work, _ = gf_divmod(work, g, q)
-    return out
+        yield g, d
+
+
+def gf_distinct_degree(f: list[int], q: int) -> list[tuple[list[int], int]]:
+    """[(product of irreducible factors of degree d, d)] for monic squarefree f.
+
+    Raises InputError unless deg f * q^2 < 2^63 (the packed kernel's slots).
+    """
+    return [(g, d) for g, d in _distinct_degree_steps(f, q) if len(g) > 1]
 
 
 def gf_equal_degree_split(f: list[int], d: int, q: int, rng: random.Random) -> list[list[int]]:

@@ -175,11 +175,13 @@ def cmd_reduce(args) -> dict:
 
 
 #: Most decimal digits a distance's numerator or denominator (in lowest terms)
-#: may have.  The eliminant's coefficients grow with them, and the time of its
-#: squarefree decomposition with those: eight distances of 7 digits over 7
-#: take 6-7.5 s on 2 cores with Python 3.11.  Squared distances between points
-#: whose coordinates are a/b with |a| <= 15 and b <= 5 have at most 7 digits.
-MAX_DISTANCE_DIGITS = 7
+#: may have.  The eliminant's coefficients grow by about 136 digits per
+#: distance digit: about 2,700 digits at 20, 4,050 at 30, and past CPython's
+#: 4,300-digit int-to-str limit at 35, where writing the report would fail.
+#: Eight random distances of 20 digits over 20 take 3.0-6.1 s on 2 cores with
+#: Python 3.11 (7 digits: 0.6 s).  Squared distances between points whose
+#: coordinates are a/b with |a| <= 15 and b <= 5 have at most 7 digits.
+MAX_DISTANCE_DIGITS = 20
 
 
 def _parse_distances(text: str) -> list[Fraction]:

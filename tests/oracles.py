@@ -3,17 +3,19 @@
 Each scans every vertex subset, edge set, branch set or prime directly, or
 keeps a slower definition the package has replaced (contractibility by
 contracting, rigid components of every edge of every G - x, the resultant's
-subresultant sequence over Fraction-valued polynomials).  None of them is used
-by the package itself.
+subresultant sequence over Fraction-valued polynomials, the integer gcd by a
+primitive polynomial remainder sequence).  None of them is used by the package
+itself.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from rigicert.algebra.multipoly import MultiPoly
-from rigicert.algebra.unipoly import UniPoly, degree_multiset_mod, poly_gcd, primes_up_to
+from rigicert.algebra.unipoly import UniPoly, degree_multiset_mod, primes_up_to
 from rigicert.errors import (
     DegenerateInputError,
     InputError,
@@ -316,8 +318,48 @@ def resultant_fraction_prs(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
             return numerator if sign == 1 else -numerator
 
 
+def _pseudo_rem_int(a: list[int], b: list[int]) -> list[int]:
+    db = len(b) - 1
+    lb = b[-1]
+    r = list(a)
+    while len(r) - 1 >= db and any(r):
+        lr = r[-1]
+        shift = len(r) - 1 - db
+        r = [c * lb for c in r[:-1]]
+        for i in range(db):
+            r[shift + i] -= lr * b[i]
+        while r and r[-1] == 0:
+            r.pop()
+    return r
+
+
+def poly_gcd_prs(a: UniPoly, b: UniPoly) -> UniPoly:
+    """`poly_gcd` by a primitive PRS over Z: pseudo-remainders, stripped to
+    their primitive parts each step."""
+    if a.is_zero():
+        return b.normalized()
+    if b.is_zero():
+        return a.normalized()
+    cont = math.gcd(a.content(), b.content())
+    f, g = list(a.normalized().coeffs), list(b.normalized().coeffs)
+    if len(f) < len(g):
+        f, g = g, f
+    while True:
+        r = _pseudo_rem_int(f, g)
+        if not r:
+            gcd_part = UniPoly(g).normalized()
+            break
+        c = math.gcd(*r)
+        r = [x // c for x in r]
+        f, g = g, r
+        if len(g) == 1:
+            gcd_part = UniPoly([1])
+            break
+    return gcd_part.scale(cont)
+
+
 def poly_is_not_squarefree(p: UniPoly) -> bool:
-    return poly_gcd(p, p.derivative()).degree > 0
+    return poly_gcd_prs(p, p.derivative()).degree > 0
 
 
 def frobenius_cycle_types(p: UniPoly, prime_bound: int) -> tuple[list[tuple[int, tuple[int, ...] | None]], list[int]]:

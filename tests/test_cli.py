@@ -2,6 +2,7 @@ import json
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 from rigicert import cli
@@ -312,6 +313,17 @@ def test_k33_distance_digit_limit(capsys):
         code, out, err = run_cli(capsys, "k33", "--distances", f"1,1,1,1,1/4,4,9/16,{token}")
         assert code == 1 and out == ""
         assert err == f"parse error: distance d8 has a numerator or denominator of more than {limit} digits\n"
+
+
+def test_k33_eight_distances_of_twenty_digits(capsys):
+    # the slowest seeded vector measured at 20 digits; CI runs it within 10 s
+    rng = random.Random(1)
+    distances = [f"{rng.randrange(10**19, 10**20)}/{rng.randrange(10**19, 10**20)}" for _ in range(8)]
+    code, out, err = run_cli(capsys, "k33", "--distances", ",".join(distances), "--prime-bound", "100")
+    assert code == 0 and err == ""
+    result = report_of(out)["result"]
+    assert [Fraction(d) for d in result["distances"]] == [Fraction(d) for d in distances]
+    assert [(f["degree"], f["multiplicity"]) for f in result["factors"]] == [(1, 2), (8, 1), (16, 1)]
 
 
 def test_k33_prime_bound_limit(capsys):

@@ -197,30 +197,87 @@ def test_refutation_free_degrees():
     # every cycle type of S_n, enumerated by sympy independently of the sieve
     from sympy.utilities.iterables import partitions
 
-    from rigicert.algebra.solubility import _degree_can_refute, _partitions, _rule_hit
+    from rigicert.algebra.solubility import _partitions, _rule_hit, _rule_prefixes
 
     free = set()
     for n in range(2, 21):
         types = {tuple(sorted(d for d, k in part.items() for _ in range(k))) for part in partitions(n)}
         assert sorted(_partitions(n)) == sorted(types)
-        if not any(_rule_hit(t, n) for t in types):
+        hits = [t for t in types if _rule_hit(t, n)]
+        if not hits:
             free.add(n)
-        assert _degree_can_refute(n) == (n not in free)
+        counts = [tuple(t.count(i) for i in range(1, n + 1)) for t in hits]
+        assert _rule_prefixes(n) == {c[:d] for c in counts for d in range(1, n + 1)}
     assert free == {2, 3, 4, 5, 7}
+    # at degree 16 a witness is [1^5, 11] or [1^3, 13]
+    assert {c for c in _rule_prefixes(16) if len(c) == 1} == {(3,), (5,)}
 
 
 def test_refutation_free_degree_scans_no_prime(monkeypatch):
     from rigicert.algebra import solubility
 
-    def no_sweep(p, q):
-        raise AssertionError("a degree without a refuting cycle type scanned a prime")
+    sweep = solubility._distinct_degree_steps
+    swept = []
 
-    monkeypatch.setattr(solubility, "degree_multiset_mod", no_sweep)
+    def watched_sweep(f, q):
+        swept.append((len(f) - 1, q))
+        return sweep(f, q)
+
+    monkeypatch.setattr(solubility, "_distinct_degree_steps", watched_sweep)
     p = UniPoly([-1, -1, 0, 0, 0, 0, 0, 1])  # x^7 - x - 1, irreducible with group S7
     cert = nonsolubility_certificate(p, 10000)
     assert cert.verdict == SolubilityVerdict.INCONCLUSIVE
     assert cert.witness is None and cert.prime_bound == 10000
     assert cert.rules_checked == (RULE_JORDAN, RULE_BURNSIDE)
+    assert swept == []
+    # the watched sweep is the one a degree with refuting cycle types runs
+    cert = _certificate(UniPoly(DEG6_FACTOR), 10000)
+    assert cert.witness[0] == 71 and swept[-1] == (6, 71)
+    assert {n for n, _ in swept} == {6}
+
+
+def test_early_stopping_sieve_matches_full_multisets():
+    """The sieve's per-prime answer against `degree_multiset_mod` +
+    `_rule_hit` at every prime up to 2,000, and its first witness against
+    the first prime whose full multiset meets a rule, on seeded polynomials
+    of degrees 6, 8, 14 and 16.  Each degree also gets a product L*Q^2*R
+    (L linear, Q and R irreducible, Q quadratic), whose reductions are never
+    squarefree.  At degree 8, with R cubic, the sweep's counts wherever Q
+    and R stay irreducible are those of [1, 2, 5], which meets the table
+    rule, so only the squarefree test turns that prime down."""
+    from rigicert.algebra.solubility import _rule_hit, _rule_meeting_type_mod, _rule_prefixes
+    from rigicert.algebra.unipoly import degree_multiset_mod, is_irreducible, primes_up_to
+
+    rng = random.Random(263)
+
+    def random_poly(deg):
+        return UniPoly([rng.randint(-30, 30) for _ in range(deg)] + [rng.randint(1, 30)])
+
+    def random_irreducible(deg):
+        while not is_irreducible(p := random_poly(deg)):
+            pass
+        return p
+
+    witnesses = set()
+    for n in (6, 8, 14, 16):
+        prefixes = _rule_prefixes(n)
+        polys = [random_poly(n).normalized() for _ in range(2)]
+        polys.append((random_poly(1) * random_irreducible(2) ** 2 * random_irreducible(n - 5)).normalized())
+        for p in polys:
+            first = None
+            for q in primes_up_to(2000):
+                if p.leading % q == 0:
+                    continue
+                multiset = degree_multiset_mod(p, q)
+                rule = None if multiset is None else _rule_hit(multiset, n)
+                assert _rule_meeting_type_mod(p, q, prefixes) == (multiset if rule else None), (p, q)
+                if rule is not None and first is None:
+                    first = (q, multiset, rule)
+            assert _certificate(p, 2000).witness == first
+            if first is not None:
+                witnesses.add((n, first[2]))
+    assert {n for n, _ in witnesses} == {6, 8, 14, 16}
+    assert {rule for _, rule in witnesses} == {RULE_JORDAN, RULE_BURNSIDE, RULE_TABLE}
 
 
 def test_inert_prime_appears_for_generic_irreducibles():

@@ -25,6 +25,8 @@ from rigicert.algebra.unipoly import (
 )
 from rigicert.errors import InputError
 
+from oracles import poly_gcd_prs
+
 
 def random_poly(rng, max_deg=8, span=20):
     deg = rng.randint(1, max_deg)
@@ -56,15 +58,58 @@ def test_try_divide():
     assert UniPoly().try_divide(UniPoly([3, 1])) == UniPoly()
 
 
+def sympy_heu_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
+    """sympy's GCDHEU on the same operands (content times primitive gcd)."""
+    from sympy.polys.domains import ZZ
+    from sympy.polys.euclidtools import dup_zz_heu_gcd
+
+    h, _, _ = dup_zz_heu_gcd([ZZ(c) for c in reversed(a.coeffs)], [ZZ(c) for c in reversed(b.coeffs)], ZZ)
+    return UniPoly([int(c) for c in reversed(h)])
+
+
 def test_poly_gcd_random():
+    # against sympy's gcd, the primitive-PRS oracle and sympy's GCDHEU, with
+    # a large integer content shared by both operands
     rng = random.Random(211)
     for _ in range(120):
         a, b, c = (random_poly(rng, 4, 6) for _ in range(3))
-        g_mine = poly_gcd(a * c, b * c)
-        g_ref = sympy.gcd(to_sympy(a * c), to_sympy(b * c))
-        assert to_sympy(g_mine) == g_ref
+        k = rng.randrange(1, 10**30)
+        f = (a * c).scale(k * rng.randrange(1, 10**6))
+        g = (b * c).scale(-k * rng.randrange(1, 10**6))
+        g_mine = poly_gcd(f, g)
+        assert to_sympy(g_mine) == sympy.gcd(to_sympy(f), to_sympy(g))
+        assert g_mine == poly_gcd_prs(f, g) == sympy_heu_gcd(f, g)
+        assert g_mine.content() % k == 0
         # c must divide the gcd
         assert g_mine.try_divide(c.normalized()) is not None or c.normalized().degree == 0
+
+
+def test_poly_gcd_grows_xi_when_cofactor_values_share_a_factor(monkeypatch):
+    """f = D*F1 and g = D*(F1 + t*F1(xi)) with xi = 2*|f| + 2, the first
+    evaluation point: gcd(F1(xi), G1(xi)) = |F1(xi)|, so the first candidate
+    is f itself, which does not divide g, and xi has to grow."""
+    evaluate = UniPoly.evaluate
+    points = []
+
+    def counting_evaluate(self, x):
+        points.append(x)
+        return evaluate(self, x)
+
+    rng = random.Random(257)
+    for _ in range(40):
+        d = random_poly(rng, 5, 20).normalized()
+        f1 = UniPoly([rng.randint(-9, 9) for _ in range(rng.randint(1, 5))] + [1])
+        f = d * f1
+        xi = 2 * max(map(abs, f.coeffs)) + 2
+        g = d * (f1 + UniPoly([rng.randint(2, 9) * evaluate(f1, xi)]))
+        content = rng.randrange(1, 10**20)
+        f, g = f.scale(content), g.scale(content * rng.randrange(1, 1000))
+        monkeypatch.setattr(UniPoly, "evaluate", counting_evaluate)
+        points.clear()
+        mine = poly_gcd(f, g)
+        monkeypatch.setattr(UniPoly, "evaluate", evaluate)
+        assert points[0] == xi and len(set(points)) > 1  # the growth branch ran
+        assert mine == d.scale(content) == poly_gcd_prs(f, g) == sympy_heu_gcd(f, g)
 
 
 def test_squarefree_decomposition():
