@@ -509,10 +509,9 @@ def _mod_sym(c: int, m: int) -> int:
     return c - m if 2 * c > m else c
 
 
-def _hensel_step(m: int, f, g, h, s, t):
+def _hensel_step(m2: int, f, g, h, s, t):
     """One quadratic lift: inputs satisfy f = g*h and s*g + t*h = 1 (mod m),
-    h monic; outputs satisfy the same mod m**2."""
-    m2 = m * m
+    h monic; outputs satisfy the same mod m2, which may be any divisor of m**2."""
     mul = lambda a, b: gf_mul(a, b, m2)
     sub = lambda a, b: gf_sub(a, b, m2)
     add = lambda a, b: gf_add(a, b, m2)
@@ -527,11 +526,9 @@ def _hensel_step(m: int, f, g, h, s, t):
     return g_star, h_star, s_star, t_star
 
 
-def _lift_pair(p: int, target: int, f, g, h, s, t):
-    m = p
-    while m < target:
-        g, h, s, t = _hensel_step(m, f, g, h, s, t)
-        m *= m
+def _lift_pair(moduli: list[int], f, g, h, s, t):
+    for m2 in moduli:
+        g, h, s, t = _hensel_step(m2, f, g, h, s, t)
     return g, h
 
 
@@ -539,10 +536,18 @@ def hensel_lift(p: int, target: int, f: list[int], factors: list[list[int]]) -> 
     """Lift f = lc(f) * prod(factors) from mod p to mod M >= target.
 
     The factors are monic and pairwise coprime mod p; returns monic lifts and
-    the modulus M actually reached (a power-of-two power of p)."""
-    modulus = p
+    the modulus M actually reached, the least power p**e >= target.  The lift
+    climbs the exponent chain ceil(e / 2**k), so each step's modulus divides
+    the square of the one before and the last stops at p**e, where squaring
+    the modulus every step could overshoot the target by up to its square."""
+    e, modulus = 1, p
     while modulus < target:
-        modulus *= modulus
+        e, modulus = e + 1, modulus * p
+    exponents = []
+    while e > 1:
+        exponents.append(e)
+        e = (e + 1) // 2
+    moduli = [p**k for k in reversed(exponents)]
 
     def recurse(f: list[int], facs: list[list[int]]) -> list[list[int]]:
         if len(facs) == 1:
@@ -558,7 +563,7 @@ def hensel_lift(p: int, target: int, f: list[int], factors: list[list[int]]) -> 
         one, s, t = gf_extended_euclid(g0, h0, p)
         if one != [1]:
             raise InternalInvariantError("factor halves are not coprime mod p")
-        g, h = _lift_pair(p, modulus, gf_from_int(f, modulus), g0, h0, s, t)
+        g, h = _lift_pair(moduli, gf_from_int(f, modulus), g0, h0, s, t)
         return recurse(g, facs[:half]) + recurse(h, facs[half:])
 
     return recurse(gf_from_int(f, modulus), factors), modulus

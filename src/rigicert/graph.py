@@ -6,12 +6,14 @@ need no locking.
 
 A separation pair is a plain `Edge`, the pair (a, b) with a < b, whether or
 not ab is an edge of the graph.  `is_m_connected` and `separation_pairs` read
-one enumeration of the vertex sets whose removal disconnects the rest.
+one enumeration of the vertex sets whose removal disconnects the rest,
+`_separating_sets`: it removes vertices in ascending order and recurses, and
+answers the last vertex of each set with one lowpoint DFS for the cut vertices
+of what is left, so a scan for separation pairs costs O(n (n + e)).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -195,12 +197,94 @@ def connected_components(g: Graph, removed: Iterable[int] = ()) -> list[frozense
     return comps
 
 
+def _cut_vertices(g: Graph, removed: frozenset[int]) -> list[int]:
+    """The vertices v of H = G - removed, ascending, such that H - v has more
+    than one component.
+
+    One iterative lowpoint DFS (Tarjan 1972; Hopcroft & Tarjan 1973) over the
+    adjacency of g, skipping removed vertices, so no subgraph is built and a
+    long path cannot exhaust the interpreter's recursion limit.  A non-root u
+    is a cut vertex of its component iff some child v has low[v] >= disc[u];
+    a root iff it has two or more children.  low may take in the tree edge to
+    the parent, which leaves that test as it is.  Where H is disconnected,
+    removing a vertex leaves at least as many components as H has unless the
+    vertex is isolated, so with three components every vertex separates and
+    with two every vertex that is not isolated.
+    """
+    adj = g._adj
+    disc: dict[int, int] = {}
+    low: dict[int, int] = {}
+    cuts: set[int] = set()
+    isolated: set[int] = set()
+    components = 0
+    for root in g.vertices:
+        if root in removed or root in disc:
+            continue
+        components += 1
+        disc[root] = low[root] = len(disc)
+        children = 0
+        stack = [(root, iter(adj[root]))]
+        while stack:
+            v, nbrs = stack[-1]
+            for w in nbrs:
+                if w in removed:
+                    continue
+                if w not in disc:
+                    disc[w] = low[w] = len(disc)
+                    stack.append((w, iter(adj[w])))
+                    break
+                if disc[w] < low[v]:
+                    low[v] = disc[w]
+            else:
+                stack.pop()
+                if not stack:
+                    continue
+                u = stack[-1][0]
+                if low[v] < low[u]:
+                    low[u] = low[v]
+                if u == root:
+                    children += 1
+                elif low[v] >= disc[u]:
+                    cuts.add(u)
+        if children >= 2:
+            cuts.add(root)
+        elif children == 0:
+            isolated.add(root)
+    if components >= 3:
+        return sorted(disc)
+    if components == 2:
+        return sorted(v for v in disc if v not in isolated)
+    return sorted(cuts)
+
+
 def _separating_sets(g: Graph, size: int) -> Iterator[tuple[int, ...]]:
     """The `size`-subsets of V, in ascending combination order, whose removal
-    leaves more than one component."""
-    for removed in itertools.combinations(g.sorted_vertices(), size):
-        if len(connected_components(g, removed)) > 1:
-            yield removed
+    leaves more than one component.
+
+    A separating k-set whose least vertex is a is {a} plus a separating
+    (k-1)-set of G - a whose vertices all lie above a, so the scan recurses
+    on the removed set in ascending a down to size 1, where one lowpoint DFS
+    of G - removed finds every cut vertex (`_cut_vertices`): O(n^(k-1) (n+e))
+    in all.  Callers that read only the first set stop the scan there.
+    """
+    verts = g.sorted_vertices()
+
+    def above(floor: int, size: int, removed: frozenset[int]) -> Iterator[tuple[int, ...]]:
+        if size == 1:
+            for v in _cut_vertices(g, removed):
+                if v > floor:
+                    yield (v,)
+            return
+        for a in verts:
+            if a > floor:
+                for rest in above(a, size - 1, removed | {a}):
+                    yield (a, *rest)
+
+    if size == 0:
+        if len(connected_components(g)) > 1:
+            yield ()
+        return
+    yield from above(-1, size, frozenset())
 
 
 def is_m_connected(g: Graph, m: int) -> bool:

@@ -2,10 +2,10 @@
 
 Each scans every vertex subset, edge set, branch set or prime directly, or
 keeps a slower definition the package has replaced (contractibility by
-contracting, rigid components of every edge of every G - x, the resultant's
-subresultant sequence over Fraction-valued polynomials, the integer gcd by a
-primitive polynomial remainder sequence).  None of them is used by the package
-itself.
+contracting, separating vertex sets by one component walk per subset, rigid
+components of every edge of every G - x, the resultant's subresultant
+sequence over Fraction-valued polynomials, the integer gcd by a primitive
+polynomial remainder sequence).  None of them is used by the package itself.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from rigicert.errors import (
     InternalInvariantError,
     UnsupportedSizeError,
 )
-from rigicert.graph import Edge, Graph, canonical_form, contract_edge, edge
+from rigicert.graph import Edge, Graph, canonical_form, connected_components, contract_edge, edge
 from rigicert.rigidity import _PebbleGame, is_laman, triangles_through
 
 
@@ -97,6 +97,17 @@ def is_contractible_by_contraction(g: Graph, e: Edge) -> bool:
     if len(triangles_through(g, e)) != 1:
         return False
     return is_laman(contract_edge(g, e))
+
+
+def separating_sets_exhaustive(g: Graph, size: int) -> list[tuple[int, ...]]:
+    """`graph._separating_sets` by definition: every `size`-subset of V, in
+    ascending combination order, whose removal leaves more than one component,
+    each tested by its own component walk."""
+    return [
+        removed
+        for removed in itertools.combinations(g.sorted_vertices(), size)
+        if len(connected_components(g, removed)) > 1
+    ]
 
 
 def enumerate_laman_exhaustive(n: int) -> set[bytes]:

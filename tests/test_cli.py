@@ -5,6 +5,8 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 from rigicert import cli
 from rigicert.cli import main
 from rigicert.decomposition import BlockSplitDetail, StepRecord, decompose_unique
@@ -352,3 +354,20 @@ def test_reports_deterministic(tmp_path, capsys):
 def test_pretty_flag(capsys):
     code, out, _ = run_cli(capsys, "--pretty", "census", "3")
     assert code == 0 and out.startswith("{\n")
+
+
+def test_main_calls_share_one_parser_and_no_state(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "cmd_k33", lambda args: {"prime_bound": args.prime_bound})
+    cli.build_parser.cache_clear()
+    code, out, _ = run_cli(capsys, "--pretty", "k33", "--prime-bound", "5")
+    assert code == 0 and out.startswith("{\n")
+    assert report_of(out)["inputs"] == {"prime_bound": 5, "tol": 1e-9}
+    with pytest.raises(SystemExit) as usage_error:
+        main(["k33", "--prime-bound", "five"])
+    assert usage_error.value.code == 2 and "invalid int value" in capsys.readouterr().err
+    code, out, _ = run_cli(capsys, "k33")
+    assert code == 0 and not out.startswith("{\n")
+    assert report_of(out)["inputs"] == {"prime_bound": 10000, "tol": 1e-9}
+    assert report_of(out)["result"] == {"prime_bound": 10000}
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 2)

@@ -8,6 +8,7 @@ from rigicert.errors import InputError, ParseError, UnsupportedSizeError
 from rigicert.graph import (
     MAX_DECLARED_VERTICES,
     Graph,
+    _separating_sets,
     canonical_form,
     connected_components,
     contract_edge,
@@ -22,7 +23,7 @@ from rigicert.graph import (
 )
 
 from conftest import g5, k4, k4_minus_edge, k5, k33, prism, triangle, two_triangles
-from oracles import is_planar_kuratowski
+from oracles import is_planar_kuratowski, separating_sets_exhaustive
 
 
 def to_nx(g: Graph) -> nx.Graph:
@@ -93,13 +94,33 @@ def test_is_m_connected_examples():
     assert not is_m_connected(Graph({0, 1, 2}, [(0, 1), (1, 2)]), 2)
     assert is_m_connected(triangle(), 2)
     assert not is_m_connected(triangle(), 3)  # |G| > m fails
+    # one DFS deeper than the interpreter's recursion limit
+    n = 5000
+    path = [(v, v + 1) for v in range(n - 1)]
+    assert is_m_connected(Graph(range(n), path + [(0, n - 1)]), 2)
+    assert not is_m_connected(Graph(range(n), path), 2)
 
 
 def test_is_m_connected_against_bruteforce():
     rng = random.Random(3)
+    # non-contiguous labels; a cut vertex 5, an isolated vertex 11, a leaf 7
+    # whose neighbour 3 leaves it alone, empty and one-vertex graphs
+    graphs = [
+        Graph(),
+        Graph({4}),
+        Graph({2, 9}),
+        Graph({2, 5, 9, 11}, [(2, 5), (5, 9)]),
+        Graph({1, 3, 5, 7, 20, 30}, [(1, 3), (1, 5), (3, 5), (3, 7), (5, 20), (5, 30), (20, 30)]),
+        Graph({1, 3, 5, 8, 13}, [(1, 3), (3, 5), (5, 1), (8, 13)]),
+    ]
     for _ in range(150):
-        n = rng.randint(2, 8)
-        g = random_graph(rng, n, rng.uniform(0.2, 0.9))
+        n = rng.randint(1, 12)
+        labels = rng.sample(range(3 * n), n)
+        p = rng.uniform(0.1, 0.9)
+        graphs.append(Graph(labels, [e for e in itertools.combinations(labels, 2) if rng.random() < p]))
+    for g in graphs:
+        for k in range(4):
+            assert list(_separating_sets(g, k)) == separating_sets_exhaustive(g, k)
         for m in (1, 2, 3, 4):
             brute = g.n > m and not any(
                 _separates_brute(g, set(rem))

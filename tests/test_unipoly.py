@@ -17,6 +17,7 @@ from rigicert.algebra.unipoly import (
     gf_is_squarefree,
     gf_monic,
     gf_mul,
+    hensel_lift,
     is_irreducible,
     is_prime,
     poly_gcd,
@@ -122,6 +123,29 @@ def test_squarefree_decomposition():
     assert rebuilt.normalized() == p.normalized()
     mults = sorted(m for _, m in parts)
     assert mults == [1, 2, 3]
+
+
+def test_hensel_lift_stops_at_the_least_power_of_p_past_the_target():
+    rng = random.Random(131)
+    checked = 0
+    while checked < 30:
+        f = random_poly(rng, max_deg=5, span=30) * random_poly(rng, max_deg=5, span=30)
+        p = rng.choice([3, 5, 7, 11, 13])
+        fp = gf_from_int(f.coeffs, p)
+        if f.leading % p == 0 or not gf_is_squarefree(fp, p):
+            continue
+        factors = gf_factor_squarefree(gf_monic(fp, p), p, random.Random(1))
+        e = rng.randint(1, 40)  # chains such as 5, 3, 2 and 17, 9, 5, 3, 2
+        target = p**e - rng.choice([0, 1, p ** (e - 1) * (p - 1) - 1])
+        lifts, modulus = hensel_lift(p, target, list(f.coeffs), factors)
+        assert modulus == p**e and (e == 1 or p ** (e - 1) < target)
+        assert [gf_from_int(g, p) for g in lifts] == factors
+        assert all(g[-1] == 1 and all(0 <= c < modulus for c in g) for g in lifts)
+        product = [f.leading % modulus]
+        for g in lifts:
+            product = gf_mul(product, g, modulus)
+        assert product == gf_from_int(f.coeffs, modulus)
+        checked += 1
 
 
 def test_factor_examples():
