@@ -11,6 +11,11 @@ J. ACM 18, 1971) runs on those lists, with every division exact over Z and the
 sign bookkeeping matching the Sylvester determinant, f-rows first.  The
 result is scaled back once, res(f, g) = res(F, G) / (c_f^deg g * c_g^deg f),
 and returned as one MultiPoly.
+
+The dense kernel below (`_strip`, `_add`, `_neg`, `_sub`, `_mul`, `_pow`, and
+`_exact_quotient` with its raising wrapper `_divexact`) is the package's one
+implementation of these operations: `MultiPoly.__pow__` and `UniPoly` (k = 1)
+call it, and unipoly's GF(q) arithmetic reduces its results mod q.
 """
 
 from __future__ import annotations
@@ -156,16 +161,15 @@ class MultiPoly:
         return MultiPoly(self.variables, {e: c * v for e, c in self.terms.items()})
 
     def __pow__(self, n: int) -> "MultiPoly":
+        """p^n = P^n / c^n on the dense kernel, for p = P / c with P over Z."""
         if n < 0:
             raise InputError("negative power")
-        result = MultiPoly.constant(self.variables, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        if self.is_zero():
+            return MultiPoly.constant(self.variables, 0 if n else 1)
+        k = len(self.variables)
+        dense, c = _integer_form(self, list(range(k)))
+        scale = c**n
+        return MultiPoly(self.variables, {e: v / scale for e, v in _unnest(_pow(dense, n, k), k)})
 
     def evaluate(self, assignment: Mapping[str, Fraction]) -> Fraction:
         missing = self.used_variables() - set(assignment)
@@ -220,10 +224,11 @@ class MultiPoly:
         return "MultiPoly(" + " + ".join(bits) + ")"
 
 
-# The resultant kernel works on dense integer polynomials.  A polynomial in k
-# variables over Z is an int when k == 0, and otherwise the list of its
-# coefficients, polynomials in the other k - 1 variables, in ascending degree
-# with no trailing zero.  Zero is 0 or [], so `not a` tests for it at any k.
+# The dense kernel works on integer polynomials.  A polynomial in k variables
+# over Z is an int when k == 0, and otherwise the list of its coefficients,
+# polynomials in the other k - 1 variables, in ascending degree with no
+# trailing zero.  Zero is 0 or [], so `not a` tests for it at any k.  Operands
+# may also be tuples (UniPoly's coefficients); results are lists.
 
 
 def _zero(k: int):
@@ -246,7 +251,7 @@ def _add(a, b, k: int):
     if len(a) < len(b):
         a, b = b, a
     if k == 1:
-        out = a[:]
+        out = list(a)
         for i, c in enumerate(b):
             out[i] += c
     else:
@@ -299,19 +304,17 @@ def _pow(a, n: int, k: int):
     return result
 
 
-def _divexact(a, b, k: int):
-    """a / b for a nonzero b that divides a; raises if it does not."""
+def _exact_quotient(a, b, k: int):
+    """a / b for a nonzero b, or None where b does not divide a over Z."""
     if k == 0:
         q, r = divmod(a, b)
-        if r:
-            raise InternalInvariantError("inexact polynomial division")
-        return q
+        return None if r else q
     if not a:
         return []
     db = len(b) - 1
     if len(a) <= db:
-        raise InternalInvariantError("inexact polynomial division")
-    r = a[:]
+        return None
+    r = list(a)
     q = [_zero(k - 1)] * (len(a) - db)
     lead = b[-1]
     for i in range(len(q) - 1, -1, -1):
@@ -321,15 +324,23 @@ def _divexact(a, b, k: int):
         if k == 1:
             qi, rem = divmod(c, lead)
             if rem:
-                raise InternalInvariantError("inexact polynomial division")
+                return None
             for j in range(db):
                 r[i + j] -= qi * b[j]
         else:
-            qi = _divexact(c, lead, k - 1)
+            qi = _exact_quotient(c, lead, k - 1)
+            if qi is None:
+                return None
             for j in range(db):
                 r[i + j] = _sub(r[i + j], _mul(qi, b[j], k - 1), k - 1)
         q[i] = qi
-    if any(r[:db]):
+    return None if any(r[:db]) else q
+
+
+def _divexact(a, b, k: int):
+    """a / b for a nonzero b that divides a; raises if it does not."""
+    q = _exact_quotient(a, b, k)
+    if q is None:
         raise InternalInvariantError("inexact polynomial division")
     return q
 

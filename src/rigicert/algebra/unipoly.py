@@ -16,7 +16,13 @@ reached, so a caller that stops after degree 1 pays for x^q alone.  That
 kernel packs each coefficient vector into 64-bit slots of one Python int
 (Kronecker substitution), so products and sums run in C big-int arithmetic.
 A slot sums at most deg f products of two residues, so the kernel requires
-deg f * q^2 < 2^63 and raises InputError beyond it.
+deg f * q^2 < 2^63 and raises InputError beyond it.  Cantor-Zassenhaus raises
+to its power (q^d - 1)/2 on the same packed products (`_packed_pow`).
+
+Integer arithmetic comes from the one dense kernel in `multipoly` (`_strip`,
+`_add`, `_neg`, `_sub`, `_mul`, `_pow`, `_exact_quotient`): `UniPoly` calls it
+on its coefficient tuples, and gf_add, gf_sub and gf_mul reduce its results
+mod q.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from ..errors import InputError, InternalInvariantError
+from .multipoly import _add, _exact_quotient, _mul, _neg, _pow, _strip, _sub
 
 
 class UniPoly:
@@ -42,9 +49,7 @@ class UniPoly:
         for c in cs:
             if not isinstance(c, int):
                 raise InputError(f"integer coefficient expected, got {c!r}")
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        object.__setattr__(self, "coeffs", tuple(_strip(cs)))
 
     def __setattr__(self, name, value):
         raise AttributeError("UniPoly is immutable")
@@ -83,42 +88,22 @@ class UniPoly:
         return UniPoly([x // c for x in self.coeffs])
 
     def __add__(self, other: "UniPoly") -> "UniPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return UniPoly(out)
+        return UniPoly(_add(self.coeffs, other.coeffs, 1))
 
     def __neg__(self) -> "UniPoly":
-        return UniPoly([-c for c in self.coeffs])
+        return UniPoly(_neg(self.coeffs, 1))
 
     def __sub__(self, other: "UniPoly") -> "UniPoly":
-        return self + (-other)
+        return UniPoly(_sub(self.coeffs, other.coeffs, 1))
 
     def __mul__(self, other: "UniPoly") -> "UniPoly":
-        if self.is_zero() or other.is_zero():
-            return UniPoly()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return UniPoly(out)
+        return UniPoly(_mul(self.coeffs, other.coeffs, 1))
 
     def scale(self, k: int) -> "UniPoly":
         return UniPoly([c * k for c in self.coeffs])
 
     def __pow__(self, n: int) -> "UniPoly":
-        result = UniPoly([1])
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return UniPoly(_pow(self.coeffs, n, 1))
 
     def derivative(self) -> "UniPoly":
         return UniPoly([i * c for i, c in enumerate(self.coeffs)][1:])
@@ -133,25 +118,8 @@ class UniPoly:
         """Quotient if the division is exact over the integers, else None."""
         if divisor.is_zero():
             raise InputError("division by zero polynomial")
-        rem = list(self.coeffs)
-        d = divisor.coeffs
-        dd = len(d) - 1
-        lead = d[-1]
-        if len(rem) - 1 < dd:
-            return None if rem else UniPoly()
-        q = [0] * (len(rem) - dd)
-        for i in range(len(rem) - 1, dd - 1, -1):
-            if rem[i] == 0:
-                continue
-            if rem[i] % lead:
-                return None
-            f = rem[i] // lead
-            q[i - dd] = f
-            for j, c in enumerate(d):
-                rem[i - dd + j] -= f * c
-        if any(rem):
-            return None
-        return UniPoly(q)
+        q = _exact_quotient(self.coeffs, divisor.coeffs, 1)
+        return None if q is None else UniPoly(q)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, UniPoly) and self.coeffs == other.coeffs
@@ -161,6 +129,12 @@ class UniPoly:
 
     def __repr__(self) -> str:
         return f"UniPoly({list(self.coeffs)})"
+
+
+def _mod_sym(c: int, m: int) -> int:
+    """The residue of c mod m in (-m/2, m/2]."""
+    c %= m
+    return c - m if 2 * c > m else c
 
 
 def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
@@ -193,9 +167,7 @@ def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
         h = math.gcd(f.evaluate(xi), g.evaluate(xi))
         digits = []
         while h:
-            c = h % xi
-            if 2 * c > xi:
-                c -= xi
+            c = _mod_sym(h, xi)
             digits.append(c)
             h = (h - c) // xi
         cand = UniPoly(digits).normalized()
@@ -243,41 +215,20 @@ def squarefree_decomposition(p: UniPoly) -> list[tuple[UniPoly, int]]:
 # arithmetic in GF(p)[x]: plain ascending int lists, coefficients in [0, p)
 
 
-def gf_strip(f: list[int]) -> list[int]:
-    while f and f[-1] == 0:
-        f.pop()
-    return f
-
-
 def gf_from_int(p_coeffs: Sequence[int], q: int) -> list[int]:
-    return gf_strip([c % q for c in p_coeffs])
+    return _strip([c % q for c in p_coeffs])
 
 
 def gf_add(a: list[int], b: list[int], q: int) -> list[int]:
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] = (out[i] + c) % q
-    return gf_strip(out)
+    return gf_from_int(_add(a, b, 1), q)
 
 
 def gf_sub(a: list[int], b: list[int], q: int) -> list[int]:
-    out = list(a) + [0] * max(0, len(b) - len(a))
-    for i, c in enumerate(b):
-        out[i] = (out[i] - c) % q
-    return gf_strip(out)
+    return gf_from_int(_sub(a, b, 1), q)
 
 
 def gf_mul(a: list[int], b: list[int], q: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return gf_strip([c % q for c in out])
+    return gf_from_int(_mul(a, b, 1), q)
 
 
 def gf_divmod(a: list[int], b: list[int], q: int) -> tuple[list[int], list[int]]:
@@ -297,7 +248,7 @@ def gf_divmod(a: list[int], b: list[int], q: int) -> tuple[list[int], list[int]]
             shift = i - db
             for j in range(db):
                 rem[shift + j] -= f * b[j]
-    return gf_strip(quo), gf_strip([c % q for c in rem[:db]])
+    return _strip(quo), gf_from_int(rem[:db], q)
 
 
 def gf_rem(a: list[int], b: list[int], q: int) -> list[int]:
@@ -308,24 +259,13 @@ def gf_monic(f: list[int], q: int) -> list[int]:
     if not f:
         return []
     inv = pow(f[-1], -1, q)
-    return gf_strip([(c * inv) % q for c in f])
+    return _strip([(c * inv) % q for c in f])
 
 
 def gf_gcd(a: list[int], b: list[int], q: int) -> list[int]:
     while b:
         a, b = b, gf_rem(a, b, q)
     return gf_monic(a, q)
-
-
-def gf_pow_mod(base: list[int], exp: int, f: list[int], q: int) -> list[int]:
-    result = [1]
-    base = gf_rem(base, f, q)
-    while exp:
-        if exp & 1:
-            result = gf_rem(gf_mul(result, base, q), f, q)
-        base = gf_rem(gf_mul(base, base, q), f, q)
-        exp >>= 1
-    return result
 
 
 def gf_extended_euclid(a: list[int], b: list[int], q: int) -> tuple[list[int], list[int], list[int]]:
@@ -340,13 +280,12 @@ def gf_extended_euclid(a: list[int], b: list[int], q: int) -> tuple[list[int], l
         t0, t1 = t1, gf_sub(t0, gf_mul(quo, t1, q), q)
     if not r0:
         raise InputError("extended euclid of two zero polynomials")
-    inv = pow(r0[-1], -1, q)
-    scale = lambda f: gf_strip([(c * inv) % q for c in f])
-    return scale(r0), scale(s0), scale(t0)
+    inv = [pow(r0[-1], -1, q)]
+    return gf_mul(r0, inv, q), gf_mul(s0, inv, q), gf_mul(t0, inv, q)
 
 
 def gf_derivative(f: list[int], q: int) -> list[int]:
-    return gf_strip([(i * c) % q for i, c in enumerate(f)][1:])
+    return _strip([(i * c) % q for i, c in enumerate(f)][1:])
 
 
 def gf_is_squarefree(f: list[int], q: int) -> bool:
@@ -394,6 +333,19 @@ def _frobenius_mulmod(f: list[int], q: int):
     return mulmod
 
 
+def _packed_pow(mulmod, a: int, e: int) -> int:
+    """a^e for a packed residue a, by left-to-right square-and-multiply with
+    a `_frobenius_mulmod` product; the packed 1 (the int 1) at e = 0."""
+    if e == 0:
+        return 1
+    r = a
+    for bit in bin(e)[3:]:
+        r = mulmod(r, r)
+        if bit == "1":
+            r = mulmod(r, a)
+    return r
+
+
 def _distinct_degree_steps(f: list[int], q: int) -> Iterator[tuple[list[int], int]]:
     """(g, d) for d = 1, 2, ... on monic squarefree f: g the monic product of
     the irreducible factors of degree d, [1] where there is none.  Once 2d
@@ -401,7 +353,7 @@ def _distinct_degree_steps(f: list[int], q: int) -> Iterator[tuple[list[int], in
     and the last pair is (work, m).  The pairs with g != [1] are the
     distinct-degree split.
 
-    h runs through x^(q^d) mod f.  x^q comes by square-and-multiply; the
+    h runs through x^(q^d) mod f.  x^q comes from `_packed_pow`; the
     other rows x^(iq) mod f of the Frobenius matrix, the matrix of
     h -> h^q = h(x^q) on GF(q)[x]/(f), are built only when degree 2 is asked
     for, so a caller that stops after degree 1 pays for x^q alone.  Each
@@ -424,12 +376,7 @@ def _distinct_degree_steps(f: list[int], q: int) -> Iterator[tuple[list[int], in
             return
         if d == 1:
             mulmod = _frobenius_mulmod(f, q)
-            x = _pack([0, 1] + [0] * (n - 2))
-            xq = x
-            for bit in bin(q)[3:]:  # left-to-right square-and-multiply
-                xq = mulmod(xq, xq)
-                if bit == "1":
-                    xq = mulmod(xq, x)
+            xq = _packed_pow(mulmod, _pack([0, 1]), q)
             h = _unpack(xq, n, q)
         else:
             if d == 2:
@@ -452,20 +399,24 @@ def gf_distinct_degree(f: list[int], q: int) -> list[tuple[list[int], int]]:
 
 
 def gf_equal_degree_split(f: list[int], d: int, q: int, rng: random.Random) -> list[list[int]]:
-    """Cantor-Zassenhaus split of a monic product of degree-d irreducibles, odd q."""
+    """Cantor-Zassenhaus split of a monic product of degree-d irreducibles, odd q.
+
+    a^((q^d - 1)/2) mod f runs on the packed kernel of `_distinct_degree_steps`,
+    whose slot bound deg f * q^2 < 2^63 the caller's f already met.
+    """
     n = len(f) - 1
     if n == d:
         return [f]
+    mulmod = _frobenius_mulmod(f, q)
     while True:
-        a = [rng.randrange(q) for _ in range(n)]
-        a = gf_strip(a)
+        a = _strip([rng.randrange(q) for _ in range(n)])
         if len(a) - 1 < 1:
             continue
         g = gf_gcd(a, f, q)
         if 0 < len(g) - 1 < n:
             h = g
         else:
-            b = gf_pow_mod(a, (q**d - 1) // 2, f, q)
+            b = _unpack(_packed_pow(mulmod, _pack(a), (q**d - 1) // 2), n, q)
             h = gf_gcd(gf_sub(b, [1], q), f, q)
             if not (0 < len(h) - 1 < n):
                 continue
@@ -504,11 +455,6 @@ def degree_multiset_mod(p: UniPoly, q: int) -> tuple[int, ...] | None:
 # Hensel lifting and Zassenhaus recombination
 
 
-def _mod_sym(c: int, m: int) -> int:
-    c %= m
-    return c - m if 2 * c > m else c
-
-
 def _hensel_step(m2: int, f, g, h, s, t):
     """One quadratic lift: inputs satisfy f = g*h and s*g + t*h = 1 (mod m),
     h monic; outputs satisfy the same mod m2, which may be any divisor of m**2."""
@@ -539,7 +485,11 @@ def hensel_lift(p: int, target: int, f: list[int], factors: list[list[int]]) -> 
     the modulus M actually reached, the least power p**e >= target.  The lift
     climbs the exponent chain ceil(e / 2**k), so each step's modulus divides
     the square of the one before and the last stops at p**e, where squaring
-    the modulus every step could overshoot the target by up to its square."""
+    the modulus every step could overshoot the target by up to its square.
+
+    `recurse` halves the factor list, so its depth is ceil(log2 r) for r
+    modular factors, and r <= deg f: no input comes near Python's recursion
+    limit."""
     e, modulus = 1, p
     while modulus < target:
         e, modulus = e + 1, modulus * p
@@ -551,8 +501,7 @@ def hensel_lift(p: int, target: int, f: list[int], factors: list[list[int]]) -> 
 
     def recurse(f: list[int], facs: list[list[int]]) -> list[list[int]]:
         if len(facs) == 1:
-            inv = pow(f[-1] % modulus, -1, modulus)
-            return [gf_strip([(c * inv) % modulus for c in f])]
+            return [gf_monic(f, modulus)]
         half = len(facs) // 2
         g0 = [f[-1] % p]
         for fac in facs[:half]:

@@ -139,16 +139,14 @@ def cmd_check(args) -> dict:
 
 def cmd_census(args) -> dict:
     census = enumerate_laman(args.n)
+    # representatives are in laman_canonical_forms order
+    rendered = dict(zip(census.laman_canonical_forms, map(graph_json, census.representatives)))
     return {
         "n": census.vertex_count,
         "laman_count": census.laman_count,
         "basic_count": census.basic_count,
-        "laman_catalog": [
-            graph_json(census.representative(f)) for f in census.laman_canonical_forms
-        ],
-        "basic_catalog": [
-            graph_json(census.representative(f)) for f in census.basic_canonical_forms
-        ],
+        "laman_catalog": list(rendered.values()),
+        "basic_catalog": [rendered[f] for f in census.basic_canonical_forms],
     }
 
 

@@ -5,7 +5,8 @@ keeps a slower definition the package has replaced (contractibility by
 contracting, separating vertex sets by one component walk per subset, rigid
 components of every edge of every G - x, the resultant's subresultant
 sequence over Fraction-valued polynomials, the integer gcd by a primitive
-polynomial remainder sequence).  None of them is used by the package itself.
+polynomial remainder sequence, powers in GF(q)[x]/(f) on coefficient lists).
+None of them is used by the package itself.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import math
 from fractions import Fraction
 
 from rigicert.algebra.multipoly import MultiPoly
-from rigicert.algebra.unipoly import UniPoly, degree_multiset_mod, primes_up_to
+from rigicert.algebra.unipoly import UniPoly, degree_multiset_mod, gf_mul, gf_rem, primes_up_to
 from rigicert.errors import (
     DegenerateInputError,
     InputError,
@@ -367,6 +368,17 @@ def poly_gcd_prs(a: UniPoly, b: UniPoly) -> UniPoly:
             gcd_part = UniPoly([1])
             break
     return gcd_part.scale(cont)
+
+
+def gf_pow_mod(base: list[int], exp: int, f: list[int], q: int) -> list[int]:
+    result = [1]
+    base = gf_rem(base, f, q)
+    while exp:
+        if exp & 1:
+            result = gf_rem(gf_mul(result, base, q), f, q)
+        base = gf_rem(gf_mul(base, base, q), f, q)
+        exp >>= 1
+    return result
 
 
 def poly_is_not_squarefree(p: UniPoly) -> bool:

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from rigicert.algebra.multipoly import MultiPoly, resultant
-from rigicert.errors import DegenerateInputError, InputError
+from rigicert.algebra.multipoly import MultiPoly, _add, _divexact, _mul, _strip, resultant
+from rigicert.errors import DegenerateInputError, InputError, InternalInvariantError
 
 from oracles import divexact, resultant_fraction_prs, sylvester_matrix
 
@@ -62,6 +62,10 @@ def test_basic_arithmetic():
     y = MultiPoly.variable(vs, "y")
     p = (x + y) ** 2
     assert p.terms == {(2, 0): 1, (1, 1): 2, (0, 2): 1}
+    half = MultiPoly.constant(vs, Fraction(1, 2))
+    assert (half * x - y) ** 3 == (half * x - y) * (half * x - y) * (half * x - y)
+    assert p**0 == MultiPoly.zero(vs) ** 0 == MultiPoly.constant(vs, 1)
+    assert MultiPoly.zero(vs) ** 2 == MultiPoly.zero(vs)
     assert (p - p).is_zero()
     assert p.degree_in("x") == 2 and p.total_degree() == 2
     assert p.evaluate({"x": Fraction(1), "y": Fraction(2)}) == 9
@@ -76,6 +80,41 @@ def test_divexact():
     assert divexact(a, x + y) == x - y
     product = (x * y + MultiPoly.constant(vs, 2)) * (x ** 2 - y)
     assert divexact(product, x ** 2 - y) == x * y + MultiPoly.constant(vs, 2)
+
+
+def random_dense2(rng, deg_x, deg_y=3, span=9):
+    """A dense polynomial over Z in two variables, of degree deg_x in the outer."""
+    while True:
+        a = _strip([_strip([rng.randint(-span, span) for _ in range(deg_y + 1)]) for _ in range(deg_x + 1)])
+        if len(a) == deg_x + 1:
+            return a
+
+
+def test_dense_exact_quotient_two_variables():
+    # the kernel's exact quotient at k = 2, which the resultant's PRS divides by
+    rng = random.Random(269)
+    for _ in range(150):
+        a = random_dense2(rng, rng.randint(0, 4))
+        b = random_dense2(rng, rng.randint(1, 4))
+        assert _divexact(_mul(a, b, 2), b, 2) == a
+        r = random_dense2(rng, rng.randint(0, len(b) - 2))
+        if r:
+            with pytest.raises(InternalInvariantError):
+                _divexact(_add(_mul(a, b, 2), r, 2), b, 2)
+    y1 = [1, 1]  # 1 + y, constant in x
+    xy = [[], [0, 1]]  # x*y
+    assert _divexact([], [y1, [2]], 2) == []  # zero dividend
+    with pytest.raises(InternalInvariantError):  # divisor of higher degree
+        _divexact([y1, [2]], [[1], [], [1]], 2)
+    assert _divexact([[2, 2], [0, 1, 1]], [y1], 2) == [[2], [0, 1]]  # constant divisor in x
+    with pytest.raises(InternalInvariantError):
+        _divexact([[2, 2], [0, 1]], [y1], 2)
+    # negative leading coefficients: (x*y - 1) * (-x + 3) = -x^2*y + x*(3y + 1) - 3
+    product = [[-3], [1, 3], [0, -1]]
+    assert _mul(_add(xy, [[-1]], 2), [[3], [-1]], 2) == product
+    assert _divexact(product, [[3], [-1]], 2) == [[-1], [0, 1]]
+    with pytest.raises(InternalInvariantError):
+        _divexact(product, [[2], [-1]], 2)
 
 
 def test_resultant_pinned_examples():

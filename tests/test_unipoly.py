@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 from fractions import Fraction
 
@@ -7,6 +8,10 @@ import sympy
 
 from rigicert.algebra.unipoly import (
     UniPoly,
+    _frobenius_mulmod,
+    _pack,
+    _packed_pow,
+    _unpack,
     degree_multiset_mod,
     factor_over_q,
     gf_add,
@@ -26,7 +31,7 @@ from rigicert.algebra.unipoly import (
 )
 from rigicert.errors import InputError
 
-from oracles import poly_gcd_prs
+from oracles import gf_pow_mod, poly_gcd_prs
 
 
 def random_poly(rng, max_deg=8, span=20):
@@ -57,6 +62,22 @@ def test_try_divide():
     assert a.try_divide(UniPoly([1, 1])).coeffs == (-1, 1)
     assert a.try_divide(UniPoly([2, 1])) is None
     assert UniPoly().try_divide(UniPoly([3, 1])) == UniPoly()
+    # a*b / b = a; a*b + r with r != 0 and deg r < deg b is inexact
+    # (random_poly draws leading coefficients of either sign)
+    rng = random.Random(251)
+    for _ in range(200):
+        a, b = random_poly(rng, max_deg=6, span=30), random_poly(rng, max_deg=6, span=30)
+        assert (a * b).try_divide(b) == a
+        r = UniPoly([rng.randint(-30, 30) for _ in range(b.degree)])
+        if not r.is_zero():
+            assert (a * b + r).try_divide(b) is None
+    assert UniPoly([1, 1]).try_divide(UniPoly([1, 0, 1])) is None  # divisor of higher degree
+    assert UniPoly([2, 4, -6]).try_divide(UniPoly([-2])) == UniPoly([-1, -2, 3])  # constant divisor
+    assert UniPoly([2, 4, 5]).try_divide(UniPoly([2])) is None
+    assert UniPoly([6, 1, -1]).try_divide(UniPoly([3, -1])) == UniPoly([2, 1])  # negative leads
+    assert UniPoly([6, 1, -1]).try_divide(UniPoly([2, -1])) is None
+    with pytest.raises(InputError):
+        a.try_divide(UniPoly())
 
 
 def sympy_heu_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
@@ -283,8 +304,11 @@ def test_degree_multisets_of_published_factors():
 
 
 def test_gf_factor_squarefree_products():
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_factor_sqf
+
     rng = random.Random(233)
-    for q in (3, 7, 13):
+    for q in (3, 7, 13, 101):
         for _ in range(25):
             p = random_poly(rng, max_deg=8, span=q)
             fq = gf_from_int(p.coeffs, q)
@@ -300,6 +324,28 @@ def test_gf_factor_squarefree_products():
             for f in factors:
                 prod = gf_mul(prod, f, q)
             assert prod == fq
+            _, theirs = gf_factor_sqf(list(reversed(fq)), q, ZZ)
+            assert factors == sorted(list(reversed(g)) for g in theirs)
+
+
+def test_packed_pow_against_list_powers():
+    # the x^q of the sieve and the Cantor-Zassenhaus powers a^((q^d - 1)/2),
+    # on packed slots, against square-and-multiply on coefficient lists; the
+    # last prime is the largest with 20 * q^2 < 2^63
+    rng = random.Random(263)
+    edge = next(c for c in range(math.isqrt((2**63 - 1) // 20), 0, -1) if is_prime(c))
+    for q in (2, 3, 5, 101, 9973, edge):
+        for n in rng.sample(range(2, 21), 5):
+            assert n * q * q < 2**63
+            f = [rng.randrange(q) for _ in range(n)] + [1]
+            mulmod = _frobenius_mulmod(f, q)
+            a = [rng.randrange(q) for _ in range(n)]
+            d = rng.randint(1, n // 2)
+            for e in (0, 1, 2, q, (q**d - 1) // 2, rng.randrange(q**d), rng.randrange(q * n)):
+                packed = _unpack(_packed_pow(mulmod, _pack(a), e), n, q)
+                assert gf_from_int(packed, q) == gf_pow_mod(gf_from_int(a, q), e, f, q)
+    # q = 2, d = 1 gives the exponent 0, and x^0 is 1
+    assert _packed_pow(_frobenius_mulmod([1, 1, 1], 2), _pack([0, 1]), (2**1 - 1) // 2) == 1
 
 
 def test_gf_divmod_identity():
