@@ -1,7 +1,8 @@
 """Command-line interface: deterministic JSON reports over the library.
 
 Exit codes: 0 success, 1 parse failure, 2 precondition failure, 3 internal
-invariant failure (a bug, reported as one line on stderr).  Reports
+invariant failure (a bug, reported as one line on stderr), 4 the report could
+not be written (stdout closed, as by `rigicert census 8 | head -c 10`).  Reports
 serialize with sorted keys so that byte-identical output (minus the timing
 field) can be snapshot-tested.
 
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -333,7 +335,18 @@ def main(argv: list[str] | None = None) -> int:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
     elapsed_ms = (time.perf_counter() - start) * 1000.0
-    print(render_report(args.command, inputs, result, elapsed_ms, args.pretty))
+    report = render_report(args.command, inputs, result, elapsed_ms, args.pretty)
+    try:
+        print(report)
+        sys.stdout.flush()
+    except OSError as exc:
+        # what stays buffered goes to the null device, so that the
+        # interpreter's own flush at exit cannot fail a second time
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"output error: the report could not be written: {exc.strerror}", file=sys.stderr)
+        return 4
     return 0
 
 

@@ -4,8 +4,11 @@ One (2,3) pebble game decides independence; restarted with one vertex's edges
 released, it finds the rigid components of G - x, which answer every maximally
 independent (MI) proper subgraph question without enumerating vertex subsets.
 A rigid component is the maximal tight set (2|S| - 3 edges) holding an edge,
-found by one reverse search from the free pebbles.  All operations are pure
-functions over immutable graphs.
+found by one reverse search from the free pebbles.  The game runs on vertex
+indices and keeps its orientation in both directions, heads and tails, so
+that search needs no reverse adjacency built per query and a copy for G - x
+is a few list copies.  All operations are pure functions over immutable
+graphs.
 
 Two facts let one game per graph answer every question a reduction round asks:
 
@@ -27,8 +30,8 @@ Two facts let one game per graph answer every question a reduction round asks:
 
 from __future__ import annotations
 
-import copy
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -46,75 +49,97 @@ from .graph import (
 
 class _PebbleGame:
     """The (2,3) pebble game (Jacobs & Hendrickson 1997; Lee & Streinu 2008) after
-    inserting G's edges in ascending order.  Each vertex owns two pebbles, free or
-    covering an edge that then points away from it; `independent` turns False,
-    ending the game, at the first edge that cannot gather 4 pebbles."""
+    inserting G's edges in ascending order, played on vertex indices 0..n-1 in
+    ascending label order.  Each vertex owns two pebbles, free (`pebbles[i]`)
+    or covering an edge that then points away from it; `out[i]` lists the at
+    most two heads of i's edges and `into[i]` is the set of their tails, both
+    kept on every move.  `independent` turns False, ending the game, at the
+    first edge that cannot gather 4 pebbles.  Queries take and return labels."""
 
     def __init__(self, g: Graph):
-        self.pebbles = {v: 2 for v in g.vertices}
-        self.out: dict[int, set[int]] = {v: set() for v in g.vertices}
+        self.labels = g.sorted_vertices()
+        self.index = index = {v: i for i, v in enumerate(self.labels)}
+        n = len(self.labels)
+        self.pebbles = pebbles = [2] * n
+        self.out: list[list[int]] = [[] for _ in range(n)]
+        self.into: list[set[int]] = [set() for _ in range(n)]
         self.independent = True
         for u, v in g.sorted_edges():
-            if not self.gather(u, v, 4):
+            i, j = index[u], index[v]
+            if not self._gather(i, j, 4):
                 self.independent = False
                 return
-            self.pebbles[u] -= 1
-            self.out[u].add(v)
+            pebbles[i] -= 1
+            self.out[i].append(j)
+            self.into[j].add(i)
 
     def without_vertex(self, x: int) -> _PebbleGame:
         """The game on G - x: x's edges removed, their pebbles back with their owners."""
-        game = copy.copy(self)
-        game.pebbles = {v: p + (x in self.out[v]) for v, p in self.pebbles.items()}
-        game.out = {v: heads - {x} for v, heads in self.out.items()}
-        game.pebbles[x], game.out[x] = 2, set()
+        i = self.index[x]
+        game = _PebbleGame.__new__(_PebbleGame)
+        game.labels, game.index, game.independent = self.labels, self.index, self.independent
+        game.pebbles = pebbles = self.pebbles.copy()
+        game.out = out = list(map(list.copy, self.out))
+        game.into = into = list(map(set.copy, self.into))
+        for tail in self.into[i]:
+            out[tail].remove(i)
+            pebbles[tail] += 1
+        for head in self.out[i]:
+            into[head].discard(i)
+        pebbles[i], out[i], into[i] = 2, [], set()
         return game
 
-    def _take_pebble(self, root: int, protected: tuple[int, int]) -> bool:
-        # DFS along the orientation for a vertex with a spare pebble; reverse
-        # the path to bring the pebble to `root`.
+    def _take_pebble(self, root: int, other: int) -> bool:
+        # DFS along the orientation for a vertex other than root and `other`
+        # with a spare pebble; reverse the path to bring the pebble to `root`.
+        pebbles, out, into = self.pebbles, self.out, self.into
         parent = {root: root}
         stack = [root]
         while stack:
             v = stack.pop()
-            if v != root and self.pebbles[v] and v not in protected:
-                self.pebbles[v] -= 1
-                while v != root:
-                    self.out[v].add(parent[v])
-                    self.out[parent[v]].discard(v)
-                    v = parent[v]
-                self.pebbles[root] += 1
-                return True
-            for w in self.out[v]:
-                if w not in parent:
-                    parent[w] = v
-                    stack.append(w)
+            for w in out[v]:
+                if w in parent:
+                    continue
+                parent[w] = v
+                if pebbles[w] and w != other:
+                    pebbles[w] -= 1
+                    while w != root:
+                        p = parent[w]
+                        out[w].append(p)
+                        into[p].add(w)
+                        out[p].remove(w)
+                        into[w].discard(p)
+                        w = p
+                    pebbles[root] += 1
+                    return True
+                stack.append(w)
         return False
 
-    def gather(self, u: int, v: int, count: int) -> bool:
-        """Bring `count` free pebbles onto u and v; False if they cannot be found."""
-        while self.pebbles[u] + self.pebbles[v] < count:
-            if not self._take_pebble(u, (u, v)) and not self._take_pebble(v, (u, v)):
+    def _gather(self, i: int, j: int, count: int) -> bool:
+        # Bring `count` free pebbles onto i and j; False if they cannot be found.
+        pebbles = self.pebbles
+        while pebbles[i] + pebbles[j] < count:
+            if not self._take_pebble(i, j) and not self._take_pebble(j, i):
                 return False
         return True
 
     def rigid_component(self, u: int, v: int) -> frozenset[int]:
         """The rigid component holding the edge uv: with three pebbles on uv, the
         vertices that cannot fetch a free pebble from outside uv, found by one
-        search against the orientation from the free pebbles."""
-        if not self.gather(u, v, 3):
+        search against the orientation (along `into`) from the free pebbles."""
+        i, j = self.index[u], self.index[v]
+        if not self._gather(i, j, 3):
             raise InternalInvariantError(f"edge {(u, v)} cannot hold three pebbles")
-        tails: dict[int, list[int]] = {w: [] for w in self.out}
-        for w, heads in self.out.items():
-            for head in heads:
-                tails[head].append(w)
-        loose = {w for w, p in self.pebbles.items() if p and w != u and w != v}
-        stack = list(loose)
+        loose = list(map(bool, self.pebbles))
+        loose[i] = loose[j] = False
+        into = self.into
+        stack = list(itertools.compress(range(len(loose)), loose))
         while stack:
-            for w in tails[stack.pop()]:
-                if w not in loose:
-                    loose.add(w)
+            for w in into[stack.pop()]:
+                if not loose[w]:
+                    loose[w] = True
                     stack.append(w)
-        return frozenset(self.out.keys() - loose)
+        return frozenset(itertools.compress(self.labels, map(operator.not_, loose)))
 
 
 def is_independent(g: Graph) -> bool:

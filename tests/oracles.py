@@ -2,10 +2,12 @@
 
 Each scans every vertex subset, edge set, branch set or prime directly, or
 keeps a slower definition the package has replaced (contractibility by
-contracting, separating vertex sets by one component walk per subset, rigid
-components of every edge of every G - x, the resultant's subresultant
-sequence over Fraction-valued polynomials, the integer gcd by a primitive
-polynomial remainder sequence, powers in GF(q)[x]/(f) on coefficient lists).
+contracting, separating vertex sets by one component walk per subset, a
+rigid component as the largest tight vertex set through an edge, the pebble
+game's rigid components of every edge of every G - x, the resultant's
+subresultant sequence over Fraction-valued polynomials, the integer gcd by a
+primitive polynomial remainder sequence, powers in GF(q)[x]/(f) on
+coefficient lists).
 None of them is used by the package itself.
 """
 
@@ -48,6 +50,19 @@ def is_independent_exhaustive(g: Graph) -> bool:
     """Brute-force independence over all vertex subsets; induced subgraphs
     suffice because dropping edges only raises 2n - e."""
     return all(2 * len(subset) - e >= 3 for subset, e in _subset_edge_counts(g, 2, g.n))
+
+
+def rigid_component_exhaustive(g: Graph, u: int, v: int) -> frozenset[int]:
+    """The rigid component of the edge uv of an independent graph by
+    definition: the largest vertex set S holding u and v whose induced
+    subgraph has 2|S| - 3 edges.  Two such tight sets that share an edge have
+    a tight union, so the largest is unique and holds every other."""
+    tight = [
+        frozenset(subset)
+        for subset, e in _subset_edge_counts(g, 2, g.n)
+        if u in subset and v in subset and e == 2 * len(subset) - 3
+    ]
+    return max(tight, key=len)
 
 
 def mi_subgraphs_exhaustive(g: Graph) -> list[frozenset[int]]:

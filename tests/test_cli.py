@@ -1,4 +1,5 @@
 import json
+import os
 import random
 import subprocess
 import sys
@@ -97,6 +98,26 @@ def test_internal_error_exit_code(tmp_path, capsys, monkeypatch):
     code, out, err = run_cli(capsys, "check", write_graph(tmp_path, k33()))
     assert code == 3 and out == ""
     assert err == "internal error: invariant broke\n"
+
+
+def test_closed_stdout_exit_code():
+    # the report goes to a pipe whose reading end is closed, as under `| head -c 10`
+    src = str(Path(cli.__file__).parents[1])
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "rigicert.cli", "census", "7"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+    finally:
+        os.close(write_end)
+    # one line and no traceback
+    assert proc.returncode == 4
+    assert proc.stderr == "output error: the report could not be written: Broken pipe\n"
 
 
 def _planar_henneberg_ii_from_prism(seed: int, n: int) -> Graph:

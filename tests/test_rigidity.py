@@ -1,3 +1,4 @@
+import copy
 import itertools
 import random
 
@@ -37,6 +38,7 @@ from oracles import (
     is_independent_exhaustive,
     mi_proper_subgraphs_all_vertex_scan,
     mi_subgraphs_exhaustive,
+    rigid_component_exhaustive,
 )
 
 
@@ -217,6 +219,41 @@ def test_mi_queries_match_all_vertex_scan_beyond_the_subset_oracle(n):
         maximal = mi_proper_subgraphs_all_vertex_scan(h)
         assert mi_proper_subgraphs(h) == maximal
         assert is_basic(h) == (not maximal)
+
+
+def test_rigid_components_match_tight_set_oracle(census_by_n):
+    # one game per G - x answers every edge in turn, so each query starts from
+    # the orientation the earlier ones left behind
+    rng = random.Random(47)
+    graphs = []
+    for n in range(4, 9):
+        reps = census_by_n[n].representatives
+        for g in rng.sample(reps, min(12, len(reps))):
+            relabel = dict(zip(g.sorted_vertices(), rng.sample(range(100), g.n)))
+            graphs.append(Graph(relabel.values(), [(relabel[u], relabel[v]) for u, v in g.edges]))
+    graphs += [g.without_edges(rng.sample(g.sorted_edges(), rng.randint(1, 3))) for g in graphs]
+    graphs += _henneberg_graphs(seed=47, count=8, max_n=9, min_n=9)
+    larger = 0
+    for g in graphs:
+        final = rigidity._PebbleGame(g)
+        assert final.independent
+        for x in g.sorted_vertices():
+            before = copy.deepcopy((final.pebbles, final.out, final.into))
+            game = final.without_vertex(x)
+            h = induced_subgraph(g, g.vertices - {x})
+            answers = {(u, v): game.rigid_component(u, v) for u, v in h.sorted_edges()}
+            for (u, v), component in answers.items():
+                assert component == rigid_component_exhaustive(h, u, v), (g, x, (u, v))
+                larger += len(component) > 2
+            # asked again, from the state the last query left
+            assert all(game.rigid_component(u, v) == c for (u, v), c in answers.items())
+            # both directions of the orientation still agree, and pebbles are kept
+            tails = [{t for t, heads in enumerate(game.out) if w in heads} for w in range(g.n)]
+            assert game.into == tails
+            assert all(p + len(heads) == 2 for p, heads in zip(game.pebbles, game.out))
+            # the copy shares no list or set with the game it came from
+            assert (final.pebbles, final.out, final.into) == before
+    assert larger > 2000
 
 
 def test_star_restricted_search_call_count(monkeypatch):
