@@ -170,16 +170,11 @@ def soluble_cycle_types(degree: int) -> frozenset[tuple[int, ...]]:
 
 
 def _is_prime_power(n: int) -> bool:
-    for p in range(2, n + 1):
-        if is_prime(p):
-            m = n
-            while m % p == 0:
-                m //= p
-            if m == 1:
-                return True
-            if n % p == 0:
-                return False
-    return False
+    """Whether n >= 2 is a power of its least divisor above 1, a prime."""
+    p = next(d for d in range(2, n + 1) if n % d == 0)
+    while n % p == 0:
+        n //= p
+    return n == 1
 
 
 RULE_JORDAN = "jordan_prime_cycle"

@@ -2,11 +2,14 @@
 
 The factorization pipeline is the classical one: Yun squarefree decomposition,
 Cantor-Zassenhaus factorization modulo a good prime, quadratic multifactor
-Hensel lifting past the Mignotte bound, and subset recombination.  Everything
-runs on Python's arbitrary-precision integers.  The gcds of Yun's algorithm
-come from the heuristic gcd GCDHEU (`poly_gcd`): one integer gcd of the two
-operands' values at a large point, read back as a polynomial and accepted only
-after trial division.
+Hensel lifting past the Mignotte bound, and subset recombination.  The prime
+is chosen by factor counts alone: of the first four odd primes that keep the
+part squarefree and do not divide its leading coefficient, the one with the
+fewest factors in its distinct-degree split; Cantor-Zassenhaus runs on that
+prime only.  Everything runs on Python's arbitrary-precision integers.  The
+gcds of Yun's algorithm come from the heuristic gcd GCDHEU (`poly_gcd`): one
+integer gcd of the two operands' values at a large point, read back as a
+polynomial and accepted only after trial division.
 
 The distinct-degree step over GF(q) follows von zur Gathen & Shoup: x^q mod f
 is computed once, and each degree then costs one vector-matrix product
@@ -186,8 +189,6 @@ def squarefree_decomposition(p: UniPoly) -> list[tuple[UniPoly, int]]:
         return []
     out: list[tuple[UniPoly, int]] = []
     g = poly_gcd(f, f.derivative())
-    if g.degree == 0:
-        return [(f, 1)]
     w = f.try_divide(g)
     y = f.derivative().try_divide(g)
     if w is None or y is None:
@@ -424,8 +425,12 @@ def gf_equal_degree_split(f: list[int], d: int, q: int, rng: random.Random) -> l
         return gf_equal_degree_split(h, d, q, rng) + gf_equal_degree_split(other, d, q, rng)
 
 
-def gf_factor_squarefree(f: list[int], q: int, rng: random.Random) -> list[list[int]]:
-    """Monic irreducible factors of a monic squarefree polynomial, odd q."""
+def gf_factor_squarefree(f: list[int], q: int) -> list[list[int]]:
+    """Sorted monic irreducible factors of a monic squarefree polynomial, odd q.
+
+    The equal-degree splits draw from `random.Random(q)`; the sorted output
+    does not depend on the draws."""
+    rng = random.Random(q)
     out: list[list[int]] = []
     for prod, d in gf_distinct_degree(f, q):
         out.extend(gf_equal_degree_split(prod, d, q, rng))
@@ -524,29 +529,30 @@ def _mignotte_bound(f: UniPoly) -> int:
 
 
 def _choose_factoring_prime(f: UniPoly) -> tuple[int, list[list[int]]]:
-    """An odd prime where f stays squarefree; prefers few modular factors."""
-    best: tuple[int, list[list[int]]] | None = None
-    found = 0
+    """The prime to factor f at, with the monic factors of f mod that prime.
+
+    The candidates are the odd primes not dividing lc(f) where f stays
+    squarefree, in ascending order.  Among the first four, the one with the
+    fewest factors (`degree_multiset_mod`) wins, the smallest on a tie, and
+    the scan stops early at a prime with one factor.  Cantor-Zassenhaus runs
+    on the chosen prime only.
+    """
+    counts: list[tuple[int, int]] = []  # (factors, prime)
     for q in filter(is_prime, itertools.count(3, 2)):
         if f.leading % q == 0:
             continue
-        fq = gf_from_int(f.coeffs, q)
-        if not gf_is_squarefree(fq, q):
+        degrees = degree_multiset_mod(f, q)
+        if degrees is None:
             continue
-        rng = random.Random(q)
-        factors = gf_factor_squarefree(gf_monic(fq, q), q, rng)
-        if best is None or len(factors) < len(best[1]):
-            best = (q, factors)
-        found += 1
-        if found >= 4 or len(best[1]) == 1:
-            return best
-    raise InternalInvariantError("ran out of primes")
+        counts.append((len(degrees), q))
+        if len(counts) == 4 or len(degrees) == 1:
+            break
+    _, q = min(counts)
+    return q, gf_factor_squarefree(gf_monic(gf_from_int(f.coeffs, q), q), q)
 
 
 def factor_squarefree_primitive(f: UniPoly) -> list[UniPoly]:
     """Irreducible factors of a primitive squarefree polynomial with positive lc."""
-    if f.degree == 1:
-        return [f]
     q, modular = _choose_factoring_prime(f)
     if len(modular) == 1:
         return [f]
@@ -586,20 +592,8 @@ def factor_over_q(p: UniPoly) -> list[tuple[UniPoly, int]]:
     """
     if p.is_zero():
         raise InputError("cannot factor the zero polynomial")
-    if p.degree < 1:
-        return []
-    work = p.normalized()
     out: list[tuple[UniPoly, int]] = []
-    # split off the power of x
-    k = 0
-    coeffs = list(work.coeffs)
-    while coeffs and coeffs[0] == 0:
-        coeffs.pop(0)
-        k += 1
-    if k:
-        out.append((UniPoly([0, 1]), k))
-        work = UniPoly(coeffs)
-    for part, mult in squarefree_decomposition(work):
+    for part, mult in squarefree_decomposition(p):
         for factor in factor_squarefree_primitive(part):
             out.append((factor, mult))
     out.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))

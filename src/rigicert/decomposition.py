@@ -157,8 +157,9 @@ def qs_classify(g: Graph) -> QSClassification:
     """Quadratic solubility by recursive triangle decomposition.
 
     Freedom-1 parts get the virtual edge and freedom-0 parts are re-examined
-    bare; a 3-connected leaf larger than a triangle is a witness that the
-    graph is not quadratically soluble.  A planar witness makes the overall
+    bare.  A Laman block of at most 3 vertices is an edge or a triangle, and
+    both are QS; a 3-connected leaf of 4 or more vertices is a witness that
+    the graph is not quadratically soluble.  A planar witness makes the overall
     not-RS verdict proven; otherwise it rests on the conjecture.  The
     recursion runs on an explicit stack, depth-first with the parts in
     order, so a deep chain of splits cannot exhaust the interpreter's
@@ -170,7 +171,7 @@ def qs_classify(g: Graph) -> QSClassification:
     stack = [Block(g)]
     while stack:
         b = stack.pop()
-        if b.is_triangle():
+        if b.subgraph.n <= 3:
             continue
         pair = _first_separation_pair(b)
         if pair is None:

@@ -202,6 +202,13 @@ def test_classify_prism(tmp_path, capsys):
     assert len(result["witnesses"]) == 1
 
 
+def test_classify_one_edge(tmp_path, capsys):
+    path = tmp_path / "k2.txt"
+    path.write_text("n 2\ne 0 1\n")
+    code, out, _ = run_cli(capsys, "classify", str(path))
+    assert code == 0 and report_of(out)["result"] == {"verdict": "QS", "witnesses": []}
+
+
 def test_reduce_k33_terminal(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "reduce", write_graph(tmp_path, k33()))
     result = report_of(out)["result"]

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from rigicert.decomposition import (
+    QSClassification,
     StepKind,
     TerminalKind,
     Verdict,
@@ -208,6 +209,8 @@ def test_qs_classify_examples():
     assert qs_classify(k4_minus_edge()).verdict == Verdict.QS
     assert qs_classify(g5()).verdict == Verdict.QS
     assert qs_classify(triangle()).verdict == Verdict.QS
+    # the one-edge Laman graph K2: a ruler draws it, so no witness
+    assert qs_classify(Graph(range(2), [(0, 1)])) == QSClassification(Verdict.QS, ())
 
     c = qs_classify(prism())
     assert c.verdict == Verdict.NOT_RS_PROVEN_PLANAR

@@ -193,6 +193,13 @@ def test_rule_hits_directly():
     assert _rule_hit((1, 6), 7) is None  # 7 is prime (a prime power)
 
 
+def test_is_prime_power_against_factorint():
+    from rigicert.algebra.solubility import _is_prime_power
+
+    for n in range(2, 2001):
+        assert _is_prime_power(n) == (len(sympy.factorint(n)) == 1), n
+
+
 def test_refutation_free_degrees():
     # every cycle type of S_n, enumerated by sympy independently of the sieve
     from sympy.utilities.iterables import partitions

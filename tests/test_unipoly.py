@@ -155,7 +155,7 @@ def test_hensel_lift_stops_at_the_least_power_of_p_past_the_target():
         fp = gf_from_int(f.coeffs, p)
         if f.leading % p == 0 or not gf_is_squarefree(fp, p):
             continue
-        factors = gf_factor_squarefree(gf_monic(fp, p), p, random.Random(1))
+        factors = gf_factor_squarefree(gf_monic(fp, p), p)
         e = rng.randint(1, 40)  # chains such as 5, 3, 2 and 17, 9, 5, 3, 2
         target = p**e - rng.choice([0, 1, p ** (e - 1) * (p - 1) - 1])
         lifts, modulus = hensel_lift(p, target, list(f.coeffs), factors)
@@ -239,6 +239,79 @@ def test_factor_matches_sympy_structure():
         assert mine == theirs
 
 
+def sympy_factors(p: UniPoly) -> list[tuple[tuple[int, ...], int]]:
+    """Primitive irreducible factors of p over Q with positive lc, by sympy."""
+    x = sympy.symbols("x")
+    _, ref = sympy.factor_list(to_sympy(p))
+    return sorted(
+        (UniPoly(int(c) for c in reversed(sympy.Poly(f, x).all_coeffs())).normalized().coeffs, m)
+        for f, m in ref
+    )
+
+
+def test_factor_over_q_of_powers_of_x_times_g():
+    rng = random.Random(269)
+    x = UniPoly([0, 1])
+    for k in range(1, 5):
+        a, b = random_poly(rng, max_deg=4, span=9), random_poly(rng, max_deg=4, span=9)
+        for g in (UniPoly([-6]), a * b, a**2 * b, (a * b) ** 3 * x):
+            p = x**k * g
+            assert sorted((f.coeffs, m) for f, m in factor_over_q(p)) == sympy_factors(p)
+
+
+def test_choose_factoring_prime_matches_the_first_four_good_primes(monkeypatch):
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_factor_sqf, gf_from_int_poly, gf_sqf_p
+
+    from rigicert.algebra import unipoly
+
+    calls = []
+    gf_factor = unipoly.gf_factor_squarefree
+
+    def counting(f, q):
+        calls.append(q)
+        return gf_factor(f, q)
+
+    monkeypatch.setattr(unipoly, "gf_factor_squarefree", counting)
+    rng = random.Random(271)
+    one_factor = []
+    while len(one_factor) < 40:
+        f = random_poly(rng, max_deg=10, span=25)
+        if rng.random() < 0.6:
+            f = f * random_poly(rng, max_deg=6, span=25)
+        f = f.normalized()
+        if f.degree < 2 or not to_sympy(f).is_sqf:
+            continue
+        # brute force: sympy's factors at the first four odd primes not
+        # dividing lc(f) where f stays squarefree; the first with the fewest
+        # factors is the rule, early stop at one factor included
+        good = []
+        for q in primes_up_to(1000)[1:]:
+            fq = gf_from_int_poly(list(reversed(f.coeffs)), q)
+            if f.leading % q and gf_sqf_p(fq, q, ZZ):
+                good.append((q, sorted(list(reversed(g)) for g in gf_factor_sqf(fq, q, ZZ)[1])))
+            if len(good) == 4:
+                break
+        expected = min(good, key=lambda qf: len(qf[1]))
+        calls.clear()
+        assert unipoly._choose_factoring_prime(f) == expected
+        assert calls == [expected[0]]
+        one_factor.append(len(expected[1]) == 1)
+    assert any(one_factor) and not all(one_factor)  # both exits of the scan ran
+
+
+def test_gf_factor_squarefree_is_deterministic():
+    rng = random.Random(277)
+    checked = 0
+    for q in (3, 11, 101):
+        for _ in range(10):
+            f = gf_monic(gf_from_int(random_poly(rng, max_deg=12, span=q).coeffs, q), q)
+            if len(f) > 2 and gf_is_squarefree(f, q):
+                assert gf_factor_squarefree(f, q) == gf_factor_squarefree(f, q)
+                checked += 1
+    assert checked >= 10
+
+
 def sympy_degrees_mod(p: UniPoly, q: int) -> list[tuple[int, int]]:
     """(degree, multiplicity) of each irreducible factor of p mod q, by sympy."""
     x = sympy.symbols("x")
@@ -317,7 +390,7 @@ def test_gf_factor_squarefree_products():
             fq = gf_monic(fq, q)
             if not gf_is_squarefree(fq, q):
                 continue
-            factors = gf_factor_squarefree(fq, q, random.Random(1))
+            factors = gf_factor_squarefree(fq, q)
             prod = [1]
             from rigicert.algebra.unipoly import gf_mul
 
