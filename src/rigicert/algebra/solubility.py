@@ -24,7 +24,7 @@ prime as soon as the factor counts found so far are no such prefix; at degree
 prime that gets through the whole sweep is tested for a squarefree
 reduction.  At degrees 2, 3, 4, 5 and 7 no cycle type meets any rule, so the
 certificate ends INCONCLUSIVE at once there, without scanning a prime.  Prime
-bounds above MAX_PRIME_BOUND are refused with InputError.
+bounds above MAX_PRIME_BOUND or below 2 are refused with InputError.
 """
 
 from __future__ import annotations
@@ -278,8 +278,8 @@ def _rule_meeting_type_mod(p: UniPoly, q: int, prefixes: frozenset[tuple[int, ..
 def nonsolubility_certificate(p: UniPoly, prime_bound: int = 10000) -> SolubilityCertificate:
     """Refute solubility of the Galois group of an irreducible polynomial, or
     report INCONCLUSIVE.  Sound: never NOT_SOLUBLE for a soluble group."""
-    # an over-large bound is refused by _certificate, before any factoring
-    if prime_bound <= MAX_PRIME_BOUND:
+    # a bound outside [2, MAX_PRIME_BOUND] is refused by _certificate, before any factoring
+    if 2 <= prime_bound <= MAX_PRIME_BOUND:
         factors = factor_over_q(p)
         if len(factors) != 1 or factors[0][1] != 1:
             raise InputError("polynomial is reducible; factor first and certify the pieces")
@@ -291,6 +291,8 @@ def _certificate(p: UniPoly, prime_bound: int) -> SolubilityCertificate:
     such as a factor from `factor_over_q`; p is not factored again."""
     if prime_bound > MAX_PRIME_BOUND:
         raise InputError(f"prime bound {prime_bound} exceeds the limit {MAX_PRIME_BOUND}")
+    if prime_bound < 2:
+        raise InputError(f"prime bound {prime_bound} is below 2, the least prime")
     p = p.normalized()
     n = p.degree
     rules = tuple(rules_for_degree(n))

@@ -34,7 +34,7 @@ from .decomposition import (
 )
 from .errors import InputError, InternalInvariantError, ParseError
 from .graph import Block, Graph, format_graph, freedom_number, is_m_connected, is_planar, parse_graph
-from .rigidity import _is_basic, _PebbleGame, enumerate_laman
+from .rigidity import enumerate_laman, is_basic, is_independent, is_laman
 
 if TYPE_CHECKING:
     # rigicert.algebra loads inside the k33 command only, so that the graph
@@ -127,13 +127,11 @@ def _read_graph(path: str) -> Graph:
 
 def cmd_check(args) -> dict:
     g = _read_graph(args.graph_file)
-    free = freedom_number(g)
-    game = _PebbleGame(g)
     return {
-        "free": free,
-        "independent": game.independent,
-        "laman": free == 0 and game.independent,
-        "basic": _is_basic(g, game),
+        "free": freedom_number(g),
+        "independent": is_independent(g),
+        "laman": is_laman(g),
+        "basic": is_basic(g),
         "three_connected": is_m_connected(g, 3),
         "planar": is_planar(g),
     }

@@ -42,16 +42,14 @@ from .graph import (
     separation_blocks,
 )
 from .rigidity import (
-    _choose_mi_subgraph,
-    _is_contractible,
-    _is_laman,
-    _maximal_mi_sets,
-    _PebbleGame,
     _surgery,
     attachment_vertices,
     internal_vertices,
     is_basic,
+    is_contractible,
     is_laman,
+    maximal_mi_subgraph,
+    mi_proper_subgraphs,
 )
 
 
@@ -254,19 +252,17 @@ def reduce_step(g: Graph) -> tuple[list[Graph], list[StepRecord]]:
     round was a pure surgery on an internal-vertex-free subgraph (in which
     case the follow-up contraction shrinks it).
     """
-    game = _PebbleGame(g)
-    _require(_is_laman(g, game), "reduce_step requires a Laman graph")
+    _require(is_laman(g), "reduce_step requires a Laman graph")
     _require(is_m_connected(g, 3), "reduce_step requires a 3-connected graph")
-    maximal = _maximal_mi_sets(g, game)
-    _require(bool(maximal), "reduce_step requires a non-basic graph (already terminal)")
-    return _reduce_step(g, maximal)
+    r = maximal_mi_subgraph(g)
+    _require(r is not None, "reduce_step requires a non-basic graph (already terminal)")
+    return _reduce_step(g, r)
 
 
-def _reduce_step(g: Graph, maximal: list[frozenset[int]]) -> tuple[list[Graph], list[StepRecord]]:
-    """`reduce_step` on a 3-connected Laman graph with the given maximal MI
-    vertex sets, of which there is at least one."""
+def _reduce_step(g: Graph, r: Graph) -> tuple[list[Graph], list[StepRecord]]:
+    """`reduce_step` on a 3-connected Laman graph whose maximal MI subgraph,
+    as `maximal_mi_subgraph` chooses it, is r."""
     _require(g.n > 6, "reduce_step requires more than 6 vertices (doublet is terminal)")
-    r = _choose_mi_subgraph(g, maximal)
     h = _surgery(g, r)
     cycle = tuple(attachment_vertices(g, r.vertices))
     records = [StepRecord(g, (h,), SurgeryDetail(r, cycle))]
@@ -275,10 +271,11 @@ def _reduce_step(g: Graph, maximal: list[frozenset[int]]) -> tuple[list[Graph], 
             raise InternalInvariantError("surgery produced a graph that is not 3-connected")
         return [h], records
 
-    game = _laman_game(h)
+    if not is_laman(h):
+        raise InternalInvariantError("surgery produced a graph that is not Laman")
     # No candidate had an internal vertex, so the surgered graph has none
     # either; the contraction case split below relies on that, so check it.
-    for w in _maximal_mi_sets(h, game):
+    for w in mi_proper_subgraphs(h):
         if internal_vertices(h, w):
             raise InternalInvariantError(f"after surgery: MI subgraph {sorted(w)} has an internal vertex")
 
@@ -286,11 +283,11 @@ def _reduce_step(g: Graph, maximal: list[frozenset[int]]) -> tuple[list[Graph], 
         edge(cycle[i], cycle[(i + 1) % len(cycle)]) for i in range(len(cycle))
     )
     for e in cycle_edges:
-        if not _is_contractible(h, game, e):
+        if not is_contractible(h, e):
             raise InternalInvariantError(f"surgery cycle edge {e} is not contractible")
 
     for f in h.sorted_edges():
-        if _is_contractible(h, game, f):
+        if is_contractible(h, f):
             contracted = contract_edge(h, f)
             if is_m_connected(contracted, 3):
                 records.append(StepRecord(h, (contracted,), ContractionDetail(f)))
@@ -318,36 +315,31 @@ def _reduce_step(g: Graph, maximal: list[frozenset[int]]) -> tuple[list[Graph], 
     return emitted, records
 
 
-def _laman_game(h: Graph) -> _PebbleGame:
-    """The pebble game of a graph the reduction made, which must be Laman."""
-    game = _PebbleGame(h)
-    if not _is_laman(h, game):
-        raise InternalInvariantError("the reduction produced a graph that is not Laman")
-    return game
-
-
 def reduce_to_terminal(g: Graph) -> ReductionTrace:
     """Depth-first reduction until every branch hits a basic graph or the doublet.
 
-    Each graph's 3-connectivity is established once, when it is made, and one
-    pebble game per graph decides whether it is Laman, whether it is basic and
-    which subgraph its round replaces."""
-    root = _PebbleGame(g)
-    _require(_is_laman(g, root), "reduction requires a Laman graph")
+    Each graph's 3-connectivity is established once, when it is made, and
+    its maximal MI subgraphs are searched once: by `is_basic` on 6 vertices
+    (K(3,3) or the doublet), else by `maximal_mi_subgraph`, which is None
+    for a basic graph and otherwise the subgraph its round replaces."""
+    _require(is_laman(g), "reduction requires a Laman graph")
     _require(is_m_connected(g, 3), "reduction requires a 3-connected graph")
     steps: list[StepRecord] = []
     terminals: list[tuple[Graph, TerminalKind]] = []
-    stack = [(g, root)]
+    stack = [g]
     while stack:
-        h, game = stack.pop()
-        maximal = _maximal_mi_sets(h, game)
-        if not maximal:
+        h = stack.pop()
+        if h.n == 6:  # h is Laman and 3-connected: `is_doublet` unless basic
+            terminals.append((h, TerminalKind.BASIC if is_basic(h) else TerminalKind.DOUBLET))
+            continue
+        r = maximal_mi_subgraph(h)
+        if r is None:
             terminals.append((h, TerminalKind.BASIC))
-        elif h.n == 6:  # h is Laman, 3-connected and not basic: `is_doublet`
-            terminals.append((h, TerminalKind.DOUBLET))
-        else:
-            children, records = _reduce_step(h, maximal)
-            steps.extend(records)
-            stack.extend((child, _laman_game(child)) for child in reversed(children))
+            continue
+        children, records = _reduce_step(h, r)
+        steps.extend(records)
+        if not all(map(is_laman, children)):
+            raise InternalInvariantError("the reduction produced a graph that is not Laman")
+        stack.extend(reversed(children))
     first = terminals[0]
     return ReductionTrace(tuple(steps), first[0], first[1], tuple(terminals))

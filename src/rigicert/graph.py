@@ -1,8 +1,10 @@
 """Simple undirected graphs and the structural operations everything else builds on.
 
 Vertices are arbitrary non-negative integer labels and are preserved by every
-operation; all values are immutable after construction, so concurrent readers
-need no locking.
+operation.  A graph's vertex and edge sets are frozen at construction, so
+concurrent readers need no locking; the one slot filled later holds a value
+derived from those sets, which never changes once set (two readers that
+fill it at once store equal values).
 
 A separation pair is a plain `Edge`, the pair (a, b) with a < b, whether or
 not ab is an edge of the graph.  `is_m_connected` and `separation_pairs` read
@@ -41,10 +43,12 @@ class Graph:
     """Finite simple undirected graph with labelled vertices.
 
     Immutable: the vertex and edge sets are frozen at construction and all
-    operations return new graphs.
+    operations return new graphs.  The private slot `_game` starts unset; the
+    rigidity module fills it with the graph's pebble game the first time it
+    is asked about the graph, and the game never changes once set.
     """
 
-    __slots__ = ("vertices", "edges", "_adj")
+    __slots__ = ("vertices", "edges", "_adj", "_game")
 
     def __init__(self, vertices: Iterable[int] = (), edges: Iterable[Edge] = ()):
         vs = frozenset(vertices)

@@ -10,6 +10,12 @@ that search needs no reverse adjacency built per query and a copy for G - x
 is a few list copies.  All operations are pure functions over immutable
 graphs.
 
+A graph's game is played once per graph object, on the first question asked
+of it, and kept on it (`_game`); queries that move pebbles run on a
+`without_vertex` copy, so the kept game never changes.  The census keeps
+none: a game on each catalog graph it returns would raise its peak memory
+by about a tenth, for questions nobody asks again.
+
 Two facts let one game per graph answer every question a reduction round asks:
 
 - Star restriction.  Let x1 be a vertex of least degree.  Every maximal MI
@@ -142,17 +148,23 @@ class _PebbleGame:
         return frozenset(itertools.compress(self.labels, map(operator.not_, loose)))
 
 
+def _game(g: Graph) -> _PebbleGame:
+    """G's pebble game, played on the first call for this graph object and
+    kept on it; callers never move its pebbles."""
+    game = getattr(g, "_game", None)
+    if game is None:
+        game = _PebbleGame(g)
+        object.__setattr__(g, "_game", game)
+    return game
+
+
 def is_independent(g: Graph) -> bool:
     """True iff every subgraph on n vertices with e edges has 2n - e >= 3."""
-    return _PebbleGame(g).independent
+    return _game(g).independent
 
 
 def is_laman(g: Graph) -> bool:
     return freedom_number(g) == 0 and is_independent(g)
-
-
-def _is_laman(g: Graph, game: _PebbleGame) -> bool:
-    return freedom_number(g) == 0 and game.independent
 
 
 def _vertex_deleted_components(g: Graph, final: _PebbleGame) -> Iterator[frozenset[int]]:
@@ -177,13 +189,9 @@ def _vertex_deleted_components(g: Graph, final: _PebbleGame) -> Iterator[frozens
                     yield comp
 
 
-def _is_basic(g: Graph, game: _PebbleGame) -> bool:
-    return _is_laman(g, game) and not any(_vertex_deleted_components(g, game))
-
-
 def is_basic(g: Graph) -> bool:
     """Laman with no proper subgraph (>= 3 vertices) of freedom number 0."""
-    return _is_basic(g, _PebbleGame(g))
+    return is_laman(g) and not any(_vertex_deleted_components(g, _game(g)))
 
 
 def internal_vertices(g: Graph, subset: frozenset[int]) -> frozenset[int]:
@@ -196,18 +204,13 @@ def attachment_vertices(g: Graph, subset: frozenset[int]) -> list[int]:
     return sorted(v for v in subset if not g.neighbors(v) <= subset)
 
 
-def _maximal_mi_sets(g: Graph, game: _PebbleGame) -> list[frozenset[int]]:
-    found = set(_vertex_deleted_components(g, game))
-    return sorted((w for w in found if not any(w < other for other in found)), key=sorted)
-
-
 def mi_proper_subgraphs(g: Graph) -> list[frozenset[int]]:
     """Vertex sets of the containment-maximal MI proper subgraphs (>= 3
     vertices) of an independent graph, ordered by their sorted vertex lists."""
-    game = _PebbleGame(g)
-    if not game.independent:
+    if not is_independent(g):
         raise InputError("maximally independent subgraphs are defined for independent graphs")
-    return _maximal_mi_sets(g, game)
+    found = set(_vertex_deleted_components(g, _game(g)))
+    return sorted((w for w in found if not any(w < other for other in found)), key=sorted)
 
 
 def maximal_mi_subgraph(g: Graph) -> Graph | None:
@@ -220,14 +223,9 @@ def maximal_mi_subgraph(g: Graph) -> Graph | None:
     a single candidate needs no tie-break, so only a tie of two or more
     reaches the canonical form's size cap.
     """
-    game = _PebbleGame(g)
-    if not _is_laman(g, game):
+    if not is_laman(g):
         raise InputError("maximal MI subgraphs are defined for Laman graphs")
-    return _choose_mi_subgraph(g, _maximal_mi_sets(g, game))
-
-
-def _choose_mi_subgraph(g: Graph, maximal: list[frozenset[int]]) -> Graph | None:
-    """`maximal_mi_subgraph`'s choice among G's maximal MI vertex sets."""
+    maximal = mi_proper_subgraphs(g)
     if not maximal:
         return None
     maximal = [w for w in maximal if internal_vertices(g, w)] or maximal
@@ -244,23 +242,19 @@ def triangles_through(g: Graph, e: Edge) -> list[int]:
 
 
 def is_contractible(g: Graph, e: Edge) -> bool:
-    """True iff G/e is again Laman; requires e to sit in exactly one 3-cycle."""
+    """True iff e lies in exactly one 3-cycle and G/e is again Laman, decided
+    by the contraction criterion in the module docstring.  G must be Laman
+    and e one of its edges; an edge in more or fewer than one 3-cycle gives
+    False."""
     e = edge(*e)
-    game = _PebbleGame(g)
-    if not _is_laman(g, game):
+    if not is_laman(g):
         raise InputError("contractibility is defined for Laman graphs")
     if e not in g.edges:
         raise InputError(f"edge {e} not in the graph")
-    return _is_contractible(g, game, e)
-
-
-def _is_contractible(g: Graph, game: _PebbleGame, e: Edge) -> bool:
-    """`is_contractible` for an edge of a Laman graph, from the graph's game by
-    the contraction criterion in the module docstring."""
     apexes = triangles_through(g, e)
     if len(apexes) != 1:
         return False
-    return game.without_vertex(apexes[0]).rigid_component(*e) == set(e)
+    return _game(g).without_vertex(apexes[0]).rigid_component(*e) == set(e)
 
 
 def fan_edges(cycle: tuple[int, ...]) -> list[Edge]:
@@ -362,12 +356,13 @@ def enumerate_laman(n: int) -> CensusResult:
                 key = canonical_form(child)
                 if key in next_level:
                     continue
-                if not is_laman(child):
+                if not (freedom_number(child) == 0 and _PebbleGame(child).independent):
                     raise InternalInvariantError("Henneberg move produced a non-Laman graph")
                 next_level[key] = child
         level = next_level
     forms = sorted(level)
     reps = tuple(level[f] for f in forms)
-    basics = tuple(f for f, g in zip(forms, reps) if is_basic(g))
+    # every representative is Laman; its game is played here and dropped
+    basics = tuple(f for f, g in zip(forms, reps) if not any(_vertex_deleted_components(g, _PebbleGame(g))))
     return CensusResult(n, tuple(forms), basics, reps)
 

@@ -362,6 +362,13 @@ def test_k33_prime_bound_limit(capsys):
     assert err == "precondition failed: prime bound 1000000000000 exceeds the limit 1000000\n"
 
 
+@pytest.mark.parametrize("bound", ["1", "0", "-5"])
+def test_k33_prime_bound_below_two(capsys, bound):
+    code, out, err = run_cli(capsys, "k33", "--prime-bound", bound)
+    assert code == 2 and out == ""
+    assert err == f"precondition failed: prime bound {bound} is below 2, the least prime\n"
+
+
 def test_graph_commands_do_not_import_algebra():
     src = str(Path(cli.__file__).parents[1])
     code = f"import sys; sys.path.insert(0, {src!r}); import rigicert.cli; print('rigicert.algebra' in sys.modules)"

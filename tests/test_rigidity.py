@@ -209,6 +209,34 @@ def test_mi_queries_on_a_20_vertex_three_connected_graph():
         assert not any(w < other for other in maximal)
 
 
+def test_rigidity_questions_share_one_kept_pebble_game(pebble_games):
+    # the first question plays the game and keeps it on the graph; the rest
+    # read it, moving pebbles only on copies
+    g = henneberg_ii_from_k33(seed=20, n=20)
+    assert is_independent(g)
+    game = g._game
+    before = copy.deepcopy((game.pebbles, game.out, game.into))
+    assert is_laman(g) and not is_basic(g)
+    maximal = mi_proper_subgraphs(g)
+    assert maximal_mi_subgraph(g).vertices in maximal
+    contractible = [is_contractible(g, e) for e in g.sorted_edges()]
+    assert len(pebble_games) == 1 and pebble_games[0] is g
+    assert g._game is game and (game.pebbles, game.out, game.into) == before
+    # an equal graph built separately plays its own game, and fresh games
+    # give the same answers as the kept one
+    assert [is_contractible(Graph(g.vertices, g.edges), e) for e in g.sorted_edges()] == contractible
+    twin = Graph(g.vertices, g.edges)
+    assert twin == g and mi_proper_subgraphs(twin) == maximal
+    assert twin._game is not game and pebble_games[-1] is twin
+    assert len(pebble_games) == 2 + g.e
+
+
+def test_census_keeps_no_pebble_game(pebble_games):
+    census = enumerate_laman(8)
+    assert len(pebble_games) > census.laman_count
+    assert not any(hasattr(g, "_game") for g in census.representatives)
+
+
 @pytest.mark.parametrize("n", [20, 40, 60, 80])
 def test_mi_queries_match_all_vertex_scan_beyond_the_subset_oracle(n):
     # the graph itself (not basic) and the basic terminal its reduction ends at

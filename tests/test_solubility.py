@@ -106,6 +106,10 @@ def test_certificate_prime_bound_limit():
     assert nonsolubility_certificate(p, MAX_PRIME_BOUND).verdict == SolubilityVerdict.NOT_SOLUBLE
     with pytest.raises(InputError, match=f"limit {MAX_PRIME_BOUND}"):
         nonsolubility_certificate(p, MAX_PRIME_BOUND + 1)
+    assert nonsolubility_certificate(p, 2).prime_bound == 2
+    for bound in (1, 0, -5):
+        with pytest.raises(InputError, match=f"prime bound {bound} is below 2"):
+            nonsolubility_certificate(p, bound)
 
 
 def test_certificate_of_a_known_factor_matches_the_public_one():
