@@ -278,21 +278,26 @@ def _rule_meeting_type_mod(p: UniPoly, q: int, prefixes: frozenset[tuple[int, ..
 def nonsolubility_certificate(p: UniPoly, prime_bound: int = 10000) -> SolubilityCertificate:
     """Refute solubility of the Galois group of an irreducible polynomial, or
     report INCONCLUSIVE.  Sound: never NOT_SOLUBLE for a soluble group."""
-    # a bound outside [2, MAX_PRIME_BOUND] is refused by _certificate, before any factoring
-    if 2 <= prime_bound <= MAX_PRIME_BOUND:
-        factors = factor_over_q(p)
-        if len(factors) != 1 or factors[0][1] != 1:
-            raise InputError("polynomial is reducible; factor first and certify the pieces")
+    _check_prime_bound(prime_bound)
+    factors = factor_over_q(p)
+    if len(factors) != 1 or factors[0][1] != 1:
+        raise InputError("polynomial is reducible; factor first and certify the pieces")
     return _certificate(p, prime_bound)
+
+
+def _check_prime_bound(prime_bound: int) -> None:
+    """Refuse a prime bound outside [2, MAX_PRIME_BOUND]; callers check it
+    before any elimination or factoring, which the bound cannot change."""
+    if prime_bound > MAX_PRIME_BOUND:
+        raise InputError(f"prime bound {prime_bound} exceeds the limit {MAX_PRIME_BOUND}")
+    if prime_bound < 2:
+        raise InputError(f"prime bound {prime_bound} is below 2, the least prime")
 
 
 def _certificate(p: UniPoly, prime_bound: int) -> SolubilityCertificate:
     """`nonsolubility_certificate` of a p the caller knows to be irreducible,
     such as a factor from `factor_over_q`; p is not factored again."""
-    if prime_bound > MAX_PRIME_BOUND:
-        raise InputError(f"prime bound {prime_bound} exceeds the limit {MAX_PRIME_BOUND}")
-    if prime_bound < 2:
-        raise InputError(f"prime bound {prime_bound} is below 2, the least prime")
+    _check_prime_bound(prime_bound)
     p = p.normalized()
     n = p.degree
     rules = tuple(rules_for_degree(n))

@@ -213,7 +213,7 @@ def _parse_distances(text: str) -> list[Fraction]:
 
 
 def cmd_k33(args) -> dict:
-    from .algebra.solubility import _certificate
+    from .algebra.solubility import _certificate, _check_prime_bound
     from .algebra.systems import (
         K33_SPECIAL_DISTANCES,
         eliminate_to_x3,
@@ -228,6 +228,7 @@ def cmd_k33(args) -> dict:
         if args.distances is None
         else _parse_distances(args.distances)
     )
+    _check_prime_bound(args.prime_bound)
     system = k33_system(distances)
     quartics = square_eliminate_y(system)
     elimination = eliminate_to_x3(quartics)

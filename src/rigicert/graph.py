@@ -12,6 +12,11 @@ one enumeration of the vertex sets whose removal disconnects the rest,
 `_separating_sets`: it removes vertices in ascending order and recurses, and
 answers the last vertex of each set with one lowpoint DFS for the cut vertices
 of what is left, so a scan for separation pairs costs O(n (n + e)).
+
+Canonical forms come from one search on neighbour index lists,
+`_canonical_search`, vertex i being the i-th smallest label; on request it
+also returns the graph's automorphisms, which the census uses to skip
+equivalent Henneberg moves.
 """
 
 from __future__ import annotations
@@ -342,64 +347,120 @@ def contract_edge(g: Graph, e: Edge) -> Graph:
     return Graph(g.vertices - {gone}, new_edges)
 
 
-def _refine_colors(order: list[int], adj: dict[int, frozenset[int]]) -> dict[int, int]:
-    """Iterated neighbourhood-degree refinement; colors are isomorphism-invariant."""
-    color = {v: len(adj[v]) for v in order}
+def _refine_colors(nbrs: list[list[int]]) -> list[int]:
+    """Iterated neighbourhood-degree refinement on vertex indices; the colours
+    are isomorphism-invariant.
+
+    Each round ranks the signatures (colour, sorted neighbour colours), so a
+    round's classes refine the last round's; once a round splits no class the
+    partition is equitable, and one more round would return the same ranks,
+    so those ranks are the fixpoint."""
+    color = [len(a) for a in nbrs]
+    classes = len(set(color))
     while True:
-        sig = {
-            v: (color[v], tuple(sorted(color[w] for w in adj[v])))
-            for v in order
-        }
-        ranks = {s: i for i, s in enumerate(sorted(set(sig.values())))}
-        new_color = {v: ranks[sig[v]] for v in order}
-        if new_color == color:
-            return color
-        color = new_color
+        sig = [(color[v], tuple(sorted([color[w] for w in a]))) for v, a in enumerate(nbrs)]
+        ranks = {s: i for i, s in enumerate(sorted(set(sig)))}
+        new_color = [ranks[s] for s in sig]
+        if len(ranks) == classes:
+            return new_color
+        color, classes = new_color, len(ranks)
+
+
+def _canonical_search(nbrs: list[list[int]], automorphisms: bool = False) -> tuple[bytes, list[list[int]]]:
+    """The canonical form of the graph on vertices 0..n-1 whose neighbours of
+    i are `nbrs[i]`, and, if asked, its automorphisms.
+
+    The form is the least upper-triangular adjacency bit matrix, read row by
+    row, over the vertex orderings that place the refined colour classes in
+    ascending colour order; a partial matrix already above the best one's
+    prefix is dropped.  The search runs on an explicit stack.  `nbr_bits[v]`
+    holds bit n-1-k for each placed neighbour of v at position k, so the row
+    of a candidate at depth k is `nbr_bits[v] >> (n - k)` and costs no scan
+    of the prefix.
+
+    The colours are invariant, so the orderings that attain the minimum are
+    one coset of Aut(G): mapping the first onto each of them gives every
+    automorphism, the identity first, as a list sigma with sigma[i] the image
+    of i.  Without `automorphisms` the list is empty.
+    """
+    n = len(nbrs)
+    if n <= 1:
+        return f"{n}:".encode(), [list(range(n))] if automorphisms else []
+    color = _refine_colors(nbrs)
+    by_color = sorted(range(n), key=color.__getitem__)
+    # the candidates for position k: the class of the k-th vertex in colour order
+    classes: dict[int, list[int]] = {}
+    for v in by_color:
+        classes.setdefault(color[v], []).append(v)
+    slot = [classes[color[v]] for v in by_color]
+    total_bits = n * (n - 1) // 2
+    # the bits past the matrix prefix that ends with the row of position k
+    shift = [total_bits - k * (k + 1) // 2 for k in range(n)]
+    best = -1
+    minimizers: list[list[int]] = []
+    nbr_bits = [0] * n
+    used = [False] * n
+    prefix = [0] * n
+    acc = [0] * n
+    pos = [0] * n
+    last = n - 1
+    k = 0
+    while k >= 0:
+        members = slot[k]
+        i = pos[k]
+        while i < len(members):
+            v = members[i]
+            i += 1
+            if used[v]:
+                continue
+            acc2 = (acc[k] << k) | (nbr_bits[v] >> (n - k))
+            if best >= 0 and acc2 > best >> shift[k]:
+                continue
+            break
+        else:
+            k -= 1
+            if k >= 0:
+                v = prefix[k]
+                used[v] = False
+                bit = 1 << (last - k)
+                for w in nbrs[v]:
+                    nbr_bits[w] ^= bit
+            continue
+        pos[k] = i
+        if k == last:
+            if acc2 != best:
+                best = acc2
+                minimizers.clear()
+            if automorphisms:
+                prefix[k] = v
+                minimizers.append(prefix.copy())
+            continue
+        used[v] = True
+        prefix[k] = v
+        bit = 1 << (last - k)
+        for w in nbrs[v]:
+            nbr_bits[w] |= bit
+        k += 1
+        acc[k] = acc2
+        pos[k] = 0
+    auts = []
+    for ordering in minimizers:
+        sigma = [0] * n
+        for a, b in zip(minimizers[0], ordering):
+            sigma[a] = b
+        auts.append(sigma)
+    width = max(1, (total_bits + 3) // 4)
+    return f"{n}:{best:0{width}x}".encode(), auts
 
 
 def canonical_form(g: Graph) -> bytes:
-    """A byte string equal for two graphs iff they are isomorphic.
-
-    Minimizes the upper-triangular adjacency bit matrix over vertex orderings,
-    pruned to orderings compatible with the refined degree classes.
-    """
-    n = g.n
-    if n > MAX_CANONICAL_VERTICES:
+    """A byte string equal for two graphs iff they are isomorphic:
+    `_canonical_search` on the vertex indices in ascending label order."""
+    if g.n > MAX_CANONICAL_VERTICES:
         raise UnsupportedSizeError(f"canonical form supports at most {MAX_CANONICAL_VERTICES} vertices")
     verts = g.sorted_vertices()
-    if n <= 1:
-        return f"{n}:".encode()
-    color = _refine_colors(verts, g._adj)
-    classes: dict[int, list[int]] = {}
-    for v in verts:
-        classes.setdefault(color[v], []).append(v)
-    class_list = [classes[c] for c in sorted(classes)]
-    total_bits = n * (n - 1) // 2
-    best: int | None = None
-
-    # Backtracking over orderings that respect the class sequence; a partial
-    # bit pattern already above the best-so-far prefix can never win.
-    def extend(prefix: list[int], remaining: list[list[int]], acc: int, bits: int):
-        nonlocal best
-        if not remaining:
-            if best is None or acc < best:
-                best = acc
-            return
-        head, *tail = remaining
-        for i, v in enumerate(head):
-            acc2 = acc
-            for u in prefix:
-                acc2 = (acc2 << 1) | (1 if v in g._adj[u] else 0)
-            bits2 = bits + len(prefix)
-            if best is not None and acc2 > (best >> (total_bits - bits2)):
-                continue
-            rest = head[:i] + head[i + 1 :]
-            extend(prefix + [v], ([rest] if rest else []) + tail, acc2, bits2)
-
-    extend([], class_list, 0, 0)
-    assert best is not None
-    width = max(1, (total_bits + 3) // 4)
-    return f"{n}:{best:0{width}x}".encode()
+    index = {v: i for i, v in enumerate(verts)}
+    return _canonical_search([[index[w] for w in g._adj[v]] for v in verts])[0]
 
 
 class _LeftRightTest:

@@ -16,6 +16,13 @@ of it, and kept on it (`_game`); queries that move pebbles run on a
 none: a game on each catalog graph it returns would raise its peak memory
 by about a tenth, for questions nobody asks again.
 
+A Laman graph on 4 or more vertices with a triangle or a vertex of degree 2
+is not basic, so `is_basic` and the census run the MI search only on graphs
+with neither: at n <= 8 those are the basic graphs themselves.  The census
+keys each Henneberg child on neighbour index lists, skips the moves that an
+automorphism of the parent maps to an earlier move, and builds a `Graph`
+only for each new class.
+
 Two facts let one game per graph answer every question a reduction round asks:
 
 - Star restriction.  Let x1 be a vertex of least degree.  Every maximal MI
@@ -45,6 +52,7 @@ from .errors import InputError, InternalInvariantError, UnsupportedSizeError
 from .graph import (
     Edge,
     Graph,
+    _canonical_search,
     canonical_form,
     edge,
     freedom_number,
@@ -189,9 +197,22 @@ def _vertex_deleted_components(g: Graph, final: _PebbleGame) -> Iterator[frozens
                     yield comp
 
 
+def _no_proper_laman_subgraph(g: Graph, final: _PebbleGame) -> bool:
+    """Whether the Laman graph G, with its game `final`, has no proper Laman
+    subgraph of 3 or more vertices.  On 4 or more vertices a triangle is one,
+    and so is G - v for a vertex v of degree 2 (it keeps 2(n-1) - 3 edges), so
+    only graphs with neither reach the MI search."""
+    if g.n >= 4:
+        adj = g._adj
+        for v, nbrs in adj.items():
+            if len(nbrs) == 2 or any(w > v and not adj[w].isdisjoint(nbrs) for w in nbrs):
+                return False
+    return not any(_vertex_deleted_components(g, final))
+
+
 def is_basic(g: Graph) -> bool:
     """Laman with no proper subgraph (>= 3 vertices) of freedom number 0."""
-    return is_laman(g) and not any(_vertex_deleted_components(g, _game(g)))
+    return is_laman(g) and _no_proper_laman_subgraph(g, _game(g))
 
 
 def internal_vertices(g: Graph, subset: frozenset[int]) -> frozenset[int]:
@@ -318,6 +339,27 @@ class CensusResult:
 _CENSUS_RANGE = (3, 8)
 
 
+def _henneberg_moves(g: Graph) -> list[tuple[int, ...]]:
+    """The one-vertex Henneberg moves on G, in the census's order: move I on
+    the vertex pair u < v as (u, v), then move II on the edge uv and a third
+    vertex z as (u, v, z)."""
+    verts = g.sorted_vertices()
+    moves: list[tuple[int, ...]] = list(itertools.combinations(verts, 2))
+    moves += [(u, v, z) for u, v in g.sorted_edges() for z in verts if z != u and z != v]
+    return moves
+
+
+def _henneberg_child(g: Graph, move: tuple[int, ...], new: int) -> Graph:
+    """Move I joins the new vertex to u and v; move II also joins it to z and
+    deletes the edge uv."""
+    u, v, *z = move
+    edges = {edge(u, new), edge(v, new)}
+    if z:
+        edges.add(edge(z[0], new))
+        return Graph(g.vertices | {new}, (g.edges - {edge(u, v)}) | edges)
+    return Graph(g.vertices | {new}, g.edges | edges)
+
+
 def henneberg_children(g: Graph) -> list[Graph]:
     """All one-vertex Henneberg extensions of a Laman graph.
 
@@ -325,44 +367,82 @@ def henneberg_children(g: Graph) -> list[Graph]:
     vertex.  Both preserve the Laman property.
     """
     new = max(g.vertices) + 1
-    children = []
-    for u, v in itertools.combinations(g.sorted_vertices(), 2):
-        children.append(Graph(g.vertices | {new}, g.edges | {edge(u, new), edge(v, new)}))
-    for u, v in g.sorted_edges():
-        for z in g.sorted_vertices():
-            if z in (u, v):
-                continue
-            children.append(
-                Graph(
-                    g.vertices | {new},
-                    (g.edges - {edge(u, v)}) | {edge(u, new), edge(v, new), edge(z, new)},
-                )
-            )
-    return children
+    return [_henneberg_child(g, move, new) for move in _henneberg_moves(g)]
+
+
+def _child_neighbours(nbrs: list[list[int]], move: tuple[int, ...]) -> list[list[int]]:
+    """`_henneberg_child` on neighbour index lists; the new vertex is len(nbrs)
+    and the lists of the vertices the move leaves alone are shared."""
+    new = len(nbrs)
+    child = nbrs.copy()
+    u, v = move[0], move[1]
+    if len(move) == 2:
+        child[u] = nbrs[u] + [new]
+        child[v] = nbrs[v] + [new]
+    else:
+        child[u] = [w for w in nbrs[u] if w != v] + [new]
+        child[v] = [w for w in nbrs[v] if w != u] + [new]
+        child[move[2]] = nbrs[move[2]] + [new]
+    child.append(list(move))
+    return child
+
+
+def _move_image(sigma: list[int], move: tuple[int, ...]) -> tuple[int, ...]:
+    """The move that the automorphism sigma maps `move` to."""
+    u, v = sigma[move[0]], sigma[move[1]]
+    if u > v:
+        u, v = v, u
+    return (u, v) if len(move) == 2 else (u, v, sigma[move[2]])
+
+
+def _moves_up_to_symmetry(g: Graph, nbrs: list[list[int]]) -> Iterator[tuple[int, ...]]:
+    """The moves of `_henneberg_moves(g)`, in order, that no automorphism of G
+    maps to an earlier move; G's labels are 0..n-1 and `nbrs` its neighbour
+    lists."""
+    # the identity comes first; moves are distinct, so it skips nothing
+    others = _canonical_search(nbrs, automorphisms=True)[1][1:]
+    skipped: set[tuple[int, ...]] = set()
+    for move in _henneberg_moves(g):
+        if move not in skipped:
+            skipped.update(_move_image(sigma, move) for sigma in others)
+            yield move
 
 
 def enumerate_laman(n: int) -> CensusResult:
-    """All Laman graphs on n vertices up to isomorphism, by Henneberg closure."""
+    """All Laman graphs on n vertices up to isomorphism, by Henneberg closure.
+
+    Every graph of a level has the labels 0..k-1, so its labels are its
+    vertex indices.  A child is keyed on neighbour lists, and its `Graph` is
+    built, and its one pebble game played, only when its key is new; the
+    game checks that it is Laman and, on the last level, whether it is basic,
+    and is then dropped.  A move that an automorphism of the parent maps to
+    an earlier move of the same parent is skipped: its child is isomorphic to
+    one already keyed, so the first child of every class, which is the
+    class's representative, is the one plain closure would keep.
+    """
     lo, hi = _CENSUS_RANGE
     if not lo <= n <= hi:
         raise UnsupportedSizeError(f"census supports {lo} <= n <= {hi}")
-    level: dict[bytes, Graph] = {}
     triangle = Graph({0, 1, 2}, [(0, 1), (0, 2), (1, 2)])
-    level[canonical_form(triangle)] = triangle
-    for _ in range(3, n):
+    level = {_canonical_search([[1, 2], [0, 2], [0, 1]])[0]: triangle}
+    # the triangle has no proper subgraph of 3 or more vertices
+    basics = set(level) if n == 3 else set()
+    for new in range(3, n):
         next_level: dict[bytes, Graph] = {}
         for parent in level.values():
-            for child in henneberg_children(parent):
-                key = canonical_form(child)
+            nbrs = [list(parent.neighbors(v)) for v in range(new)]
+            for move in _moves_up_to_symmetry(parent, nbrs):
+                key = _canonical_search(_child_neighbours(nbrs, move))[0]
                 if key in next_level:
                     continue
-                if not (freedom_number(child) == 0 and _PebbleGame(child).independent):
+                g = next_level[key] = _henneberg_child(parent, move, new)
+                game = _PebbleGame(g)
+                if not (freedom_number(g) == 0 and game.independent):
                     raise InternalInvariantError("Henneberg move produced a non-Laman graph")
-                next_level[key] = child
+                if new == n - 1 and _no_proper_laman_subgraph(g, game):
+                    basics.add(key)
         level = next_level
     forms = sorted(level)
-    reps = tuple(level[f] for f in forms)
-    # every representative is Laman; its game is played here and dropped
-    basics = tuple(f for f, g in zip(forms, reps) if not any(_vertex_deleted_components(g, _PebbleGame(g))))
-    return CensusResult(n, tuple(forms), basics, reps)
-
+    return CensusResult(
+        n, tuple(forms), tuple(f for f in forms if f in basics), tuple(level[f] for f in forms)
+    )

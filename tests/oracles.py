@@ -4,10 +4,11 @@ Each scans every vertex subset, edge set, branch set or prime directly, or
 keeps a slower definition the package has replaced (contractibility by
 contracting, separating vertex sets by one component walk per subset, a
 rigid component as the largest tight vertex set through an edge, the pebble
-game's rigid components of every edge of every G - x, the resultant's
-subresultant sequence over Fraction-valued polynomials, the integer gcd by a
-primitive polynomial remainder sequence, powers in GF(q)[x]/(f) on
-coefficient lists).
+game's rigid components of every edge of every G - x, the canonical form by
+a recursive search on labels, the census by plain Henneberg closure, the
+resultant's subresultant sequence over Fraction-valued polynomials, the
+integer gcd by a primitive polynomial remainder sequence, powers in
+GF(q)[x]/(f) on coefficient lists).
 None of them is used by the package itself.
 """
 
@@ -144,6 +145,109 @@ def enumerate_laman_exhaustive(n: int) -> set[bytes]:
         if is_independent_exhaustive(g):
             found.add(canonical_form(g))
     return found
+
+
+def _refine_colors_by_label(order: list[int], adj: dict[int, frozenset[int]]) -> dict[int, int]:
+    """Iterated neighbourhood-degree refinement on labels, stopped only when a
+    round returns the same colours."""
+    color = {v: len(adj[v]) for v in order}
+    while True:
+        sig = {v: (color[v], tuple(sorted(color[w] for w in adj[v]))) for v in order}
+        ranks = {s: i for i, s in enumerate(sorted(set(sig.values())))}
+        new_color = {v: ranks[sig[v]] for v in order}
+        if new_color == color:
+            return color
+        color = new_color
+
+
+def canonical_form_recursive(g: Graph) -> bytes:
+    """`canonical_form` by its definition on labels: the least upper-triangular
+    adjacency bit matrix over the orderings that respect the refined classes,
+    found by a recursive search with the same best-prefix prune."""
+    n = g.n
+    verts = g.sorted_vertices()
+    if n <= 1:
+        return f"{n}:".encode()
+    adj = {v: g.neighbors(v) for v in verts}
+    color = _refine_colors_by_label(verts, adj)
+    classes: dict[int, list[int]] = {}
+    for v in verts:
+        classes.setdefault(color[v], []).append(v)
+    class_list = [classes[c] for c in sorted(classes)]
+    total_bits = n * (n - 1) // 2
+    best: int | None = None
+
+    def extend(prefix: list[int], remaining: list[list[int]], acc: int, bits: int):
+        nonlocal best
+        if not remaining:
+            if best is None or acc < best:
+                best = acc
+            return
+        head, *tail = remaining
+        for i, v in enumerate(head):
+            acc2 = acc
+            for u in prefix:
+                acc2 = (acc2 << 1) | (1 if v in adj[u] else 0)
+            bits2 = bits + len(prefix)
+            if best is not None and acc2 > (best >> (total_bits - bits2)):
+                continue
+            rest = head[:i] + head[i + 1 :]
+            extend(prefix + [v], ([rest] if rest else []) + tail, acc2, bits2)
+
+    extend([], class_list, 0, 0)
+    assert best is not None
+    width = max(1, (total_bits + 3) // 4)
+    return f"{n}:{best:0{width}x}".encode()
+
+
+def automorphism_count_exhaustive(g: Graph) -> int:
+    """The number of vertex permutations that map G's edge set onto itself."""
+    verts = g.sorted_vertices()
+    count = 0
+    for image in itertools.permutations(verts):
+        sigma = dict(zip(verts, image))
+        if all(edge(sigma[u], sigma[v]) in g.edges for u, v in g.edges):
+            count += 1
+    return count
+
+
+def henneberg_children_by_label(g: Graph) -> list[Graph]:
+    """Every one-vertex Henneberg extension of G, in the census's move order:
+    move I on each vertex pair, then move II on each edge and third vertex."""
+    new = max(g.vertices) + 1
+    children = []
+    for u, v in itertools.combinations(g.sorted_vertices(), 2):
+        children.append(Graph(g.vertices | {new}, g.edges | {edge(u, new), edge(v, new)}))
+    for u, v in g.sorted_edges():
+        for z in g.sorted_vertices():
+            if z in (u, v):
+                continue
+            children.append(
+                Graph(
+                    g.vertices | {new},
+                    (g.edges - {edge(u, v)}) | {edge(u, new), edge(v, new), edge(z, new)},
+                )
+            )
+    return children
+
+
+def enumerate_laman_closure(n: int) -> tuple[list[bytes], list[bytes], list[Graph]]:
+    """The census by plain Henneberg closure: every child of every class is
+    keyed by `canonical_form_recursive`, the first child of each new key is
+    kept, and the basic ones are found by the MI search.  Returns the sorted
+    forms, the basic forms among them and the representatives in form order."""
+    triangle = Graph({0, 1, 2}, [(0, 1), (0, 2), (1, 2)])
+    level = {canonical_form_recursive(triangle): triangle}
+    for _ in range(3, n):
+        next_level: dict[bytes, Graph] = {}
+        for parent in level.values():
+            for child in henneberg_children_by_label(parent):
+                next_level.setdefault(canonical_form_recursive(child), child)
+        level = next_level
+    forms = sorted(level)
+    reps = [level[f] for f in forms]
+    basics = [f for f, g in zip(forms, reps) if not mi_proper_subgraphs_all_vertex_scan(g)]
+    return forms, basics, reps
 
 
 def _disjoint_paths_exist(

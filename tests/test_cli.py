@@ -369,6 +369,22 @@ def test_k33_prime_bound_below_two(capsys, bound):
     assert err == f"precondition failed: prime bound {bound} is below 2, the least prime\n"
 
 
+@pytest.mark.parametrize("bound", ["0", "1000001"])
+def test_k33_prime_bound_is_refused_before_elimination(capsys, monkeypatch, bound):
+    import rigicert.algebra.solubility as solubility
+    import rigicert.algebra.systems as systems
+
+    def no_algebra(*args):
+        raise AssertionError("the elimination ran before the prime bound was checked")
+
+    monkeypatch.setattr(systems, "k33_system", no_algebra)
+    monkeypatch.setattr(systems, "square_eliminate_y", no_algebra)
+    monkeypatch.setattr(solubility, "_certificate", no_algebra)
+    code, out, err = run_cli(capsys, "k33", "--prime-bound", bound)
+    assert code == 2 and out == ""
+    assert err.startswith(f"precondition failed: prime bound {bound} ")
+
+
 def test_graph_commands_do_not_import_algebra():
     src = str(Path(cli.__file__).parents[1])
     code = f"import sys; sys.path.insert(0, {src!r}); import rigicert.cli; print('rigicert.algebra' in sys.modules)"

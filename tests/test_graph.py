@@ -8,6 +8,7 @@ from rigicert.errors import InputError, ParseError, UnsupportedSizeError
 from rigicert.graph import (
     MAX_DECLARED_VERTICES,
     Graph,
+    _canonical_search,
     _separating_sets,
     canonical_form,
     connected_components,
@@ -21,9 +22,15 @@ from rigicert.graph import (
     separation_blocks,
     separation_pairs,
 )
+from rigicert.rigidity import henneberg_children
 
 from conftest import g5, k4, k4_minus_edge, k5, k33, prism, triangle, two_triangles
-from oracles import is_planar_kuratowski, separating_sets_exhaustive
+from oracles import (
+    automorphism_count_exhaustive,
+    canonical_form_recursive,
+    is_planar_kuratowski,
+    separating_sets_exhaustive,
+)
 
 
 def to_nx(g: Graph) -> nx.Graph:
@@ -256,6 +263,43 @@ def test_canonical_form_separates_non_isomorphic():
         h = random_graph(rng, n, 0.5)
         same = canonical_form(g) == canonical_form(h)
         assert same == nx.is_isomorphic(to_nx(g), to_nx(h))
+
+
+def test_canonical_form_matches_the_recursive_search_on_labels():
+    rng = random.Random(23)
+    for _ in range(300):
+        n = rng.randint(0, 10)
+        labels = rng.sample(range(50), n)
+        p = rng.uniform(0.2, 0.8)
+        edges = [(labels[i], labels[j]) for i, j in itertools.combinations(range(n), 2) if rng.random() < p]
+        g = Graph(labels, edges)
+        assert canonical_form(g) == canonical_form_recursive(g)
+
+
+def test_canonical_form_matches_the_recursive_search_on_census_children(census_by_n):
+    children = [c for g in census_by_n[7].representatives for c in henneberg_children(g)]
+    assert len(children) > 5000
+    for child in children:
+        assert canonical_form(child) == canonical_form_recursive(child)
+
+
+def test_canonical_search_yields_every_automorphism():
+    rng = random.Random(29)
+    graphs = [k33(), prism(), k4(), k5(), triangle(), Graph(range(6)), Graph(range(1))]
+    graphs += [random_graph(rng, rng.randint(1, 7), rng.uniform(0.2, 0.8)) for _ in range(60)]
+    for g in graphs:
+        index = {v: i for i, v in enumerate(g.sorted_vertices())}
+        nbrs = [sorted(index[w] for w in g.neighbors(v)) for v in g.sorted_vertices()]
+        edges = {tuple(sorted((index[u], index[v]))) for u, v in g.edges}
+        form, automorphisms = _canonical_search(nbrs, automorphisms=True)
+        assert form == canonical_form(g)
+        assert automorphisms[0] == list(range(g.n))
+        assert len(automorphisms) == automorphism_count_exhaustive(g)
+        assert len({tuple(sigma) for sigma in automorphisms}) == len(automorphisms)
+        for sigma in automorphisms:
+            assert {tuple(sorted((sigma[u], sigma[v]))) for u, v in edges} == edges
+        assert _canonical_search(nbrs) == (form, [])
+    assert automorphism_count_exhaustive(k33()) == 72
 
 
 def test_canonical_form_size_cap():

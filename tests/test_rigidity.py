@@ -9,6 +9,7 @@ from rigicert.decomposition import reduce_to_terminal
 from rigicert.errors import InputError, UnsupportedSizeError
 from rigicert.graph import (
     Graph,
+    _canonical_search,
     canonical_form,
     freedom_number,
     induced_subgraph,
@@ -33,6 +34,7 @@ from rigicert.rigidity import (
 from conftest import four_cycle, henneberg_ii_from_k33, k4, k4_minus_edge, k33, prism, triangle, two_triangles
 from oracles import (
     containment_maximal,
+    enumerate_laman_closure,
     enumerate_laman_exhaustive,
     is_contractible_by_contraction,
     is_independent_exhaustive,
@@ -411,6 +413,98 @@ def test_basic_census_counts(census_by_n):
         forms = census.laman_canonical_forms
         assert len(set(forms)) == len(forms)
         assert set(census.basic_canonical_forms) <= set(forms)
+
+
+def test_census_counts_match_the_literature(census_by_n):
+    # Laman graphs on n vertices up to isomorphism: OEIS A227117
+    assert [census_by_n[n].laman_count for n in range(3, 9)] == [1, 1, 3, 13, 70, 608]
+    assert [census_by_n[n].basic_count for n in range(3, 9)] == [1, 0, 0, 1, 0, 2]
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_census_matches_plain_henneberg_closure(census_by_n, n):
+    # the orbit-pruned census keeps the first child of every class, as
+    # plain closure does: the same forms, basics and representatives, in order
+    forms, basics, reps = enumerate_laman_closure(n)
+    census = census_by_n[n]
+    assert list(census.laman_canonical_forms) == forms
+    assert list(census.basic_canonical_forms) == basics
+    assert [g.sorted_edges() for g in census.representatives] == [g.sorted_edges() for g in reps]
+
+
+def test_census_keeps_the_first_move_of_each_orbit(census_by_n):
+    # a move is kept iff no automorphism maps it to an earlier move, and each
+    # skipped move's child is isomorphic to the child of an earlier kept move
+    skipped = 0
+    for g in [g for n in range(3, 8) for g in census_by_n[n].representatives]:
+        nbrs = [list(g.neighbors(v)) for v in range(g.n)]
+        kept = list(rigidity._moves_up_to_symmetry(g, nbrs))
+        moves = rigidity._henneberg_moves(g)
+        index = {move: i for i, move in enumerate(moves)}
+        automorphisms = _canonical_search(nbrs, automorphisms=True)[1]
+
+        def image(sigma, move):
+            return (*sorted(sigma[x] for x in move[:2]), *(sigma[x] for x in move[2:]))
+
+        assert kept == [m for i, m in enumerate(moves) if all(index[image(s, m)] >= i for s in automorphisms)]
+        forms = {}
+        for move in moves:
+            form = canonical_form(rigidity._henneberg_child(g, move, g.n))
+            if move in kept:
+                forms.setdefault(form, index[move])
+            else:
+                assert forms[form] < index[move]
+                skipped += 1
+    assert skipped > 0
+
+
+def _has_triangle_or_degree_two(g: Graph) -> bool:
+    return any(g.degree(v) == 2 for v in g.vertices) or any(g.neighbors(u) & g.neighbors(v) for u, v in g.edges)
+
+
+def _shortcut_free_laman_graphs(seed: int, count: int) -> list[Graph]:
+    """Seeded Laman graphs with no triangle and no vertex of degree 2: K(3,3),
+    two copies of it glued along an edge (not basic), and random walks of one
+    or two steps from the glued pair through such Henneberg children."""
+    # the copies share the edge (0, 3)
+    edges = [(a, b) for a in (0, 1, 2) for b in (3, 4, 5)] + [(a, b) for a in (0, 6, 7) for b in (3, 8, 9)]
+    glued = Graph(range(10), edges)
+    rng = random.Random(seed)
+    graphs = [k33(), glued]
+    for _ in range(count):
+        g = glued
+        for _ in range(rng.randint(1, 2)):
+            g = rng.choice([c for c in henneberg_children(g) if not _has_triangle_or_degree_two(c)])
+        graphs.append(g)
+    return graphs
+
+
+def test_basic_shortcut_agrees_with_the_mi_search():
+    shortcut_free = _shortcut_free_laman_graphs(seed=41, count=30)
+    graphs = _henneberg_graphs(seed=41, count=150, max_n=9, min_n=3) + shortcut_free + [prism(), k4_minus_edge()]
+    for g in graphs:
+        assert is_laman(g)
+        basic = not mi_proper_subgraphs_all_vertex_scan(g)
+        assert is_basic(g) == basic
+        assert rigidity._no_proper_laman_subgraph(g, rigidity._PebbleGame(g)) == basic
+        if g.n >= 4 and _has_triangle_or_degree_two(g):
+            assert not basic
+    # graphs the shortcut leaves to the MI search go both ways
+    assert {is_basic(g) for g in shortcut_free} == {True, False}
+
+
+def test_census_searches_for_subgraphs_only_in_basic_graphs(monkeypatch):
+    searched = []
+    search = rigidity._vertex_deleted_components
+
+    def counting_search(g, final):
+        searched.append(g.n)
+        return search(g, final)
+
+    monkeypatch.setattr(rigidity, "_vertex_deleted_components", counting_search)
+    for n in range(3, 9):
+        enumerate_laman(n)
+    assert searched == [6, 8, 8]
 
 
 def test_basic_census_range_errors():
