@@ -35,7 +35,6 @@ from .graph import (
     _separating_sets,
     canonical_form,
     contract_edge,
-    edge,
     freedom_number,
     is_m_connected,
     is_planar,
@@ -44,6 +43,7 @@ from .graph import (
 from .rigidity import (
     _surgery,
     attachment_vertices,
+    fan_edges,
     internal_vertices,
     is_basic,
     is_contractible,
@@ -279,9 +279,7 @@ def _reduce_step(g: Graph, r: Graph) -> tuple[list[Graph], list[StepRecord]]:
         if internal_vertices(h, w):
             raise InternalInvariantError(f"after surgery: MI subgraph {sorted(w)} has an internal vertex")
 
-    cycle_edges = sorted(
-        edge(cycle[i], cycle[(i + 1) % len(cycle)]) for i in range(len(cycle))
-    )
+    cycle_edges = sorted(fan_edges(cycle)[: len(cycle)])
     for e in cycle_edges:
         if not is_contractible(h, e):
             raise InternalInvariantError(f"surgery cycle edge {e} is not contractible")

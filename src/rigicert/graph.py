@@ -184,8 +184,10 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
 def connected_components(g: Graph, removed: Iterable[int] = ()) -> list[frozenset[int]]:
     """The components of G - removed, in ascending order of their least vertex.
 
-    Walks the adjacency of g itself, so no induced subgraph is built; every
-    vertex-cut question in the package is answered here.
+    Walks the adjacency of g itself, so no induced subgraph is built.  It
+    answers whether G is connected and which parts a separation pair leaves;
+    which vertex sets separate G is found by `_separating_sets` through the
+    lowpoint scan `_cut_vertices`.
     """
     seen = set(removed)
     comps: list[frozenset[int]] = []

@@ -19,9 +19,10 @@ by about a tenth, for questions nobody asks again.
 A Laman graph on 4 or more vertices with a triangle or a vertex of degree 2
 is not basic, so `is_basic` and the census run the MI search only on graphs
 with neither: at n <= 8 those are the basic graphs themselves.  The census
-keys each Henneberg child on neighbour index lists, skips the moves that an
+makes each Henneberg child on neighbour index lists (`_child_neighbours`,
+the one Henneberg move), keys it on them, skips the moves that an
 automorphism of the parent maps to an earlier move, and builds a `Graph`
-only for each new class.
+from the lists only for each new class.
 
 Two facts let one game per graph answer every question a reduction round asks:
 
@@ -339,40 +340,24 @@ class CensusResult:
 _CENSUS_RANGE = (3, 8)
 
 
-def _henneberg_moves(g: Graph) -> list[tuple[int, ...]]:
-    """The one-vertex Henneberg moves on G, in the census's order: move I on
-    the vertex pair u < v as (u, v), then move II on the edge uv and a third
-    vertex z as (u, v, z)."""
-    verts = g.sorted_vertices()
-    moves: list[tuple[int, ...]] = list(itertools.combinations(verts, 2))
-    moves += [(u, v, z) for u, v in g.sorted_edges() for z in verts if z != u and z != v]
+def _henneberg_moves(nbrs: list[list[int]]) -> list[tuple[int, ...]]:
+    """The one-vertex Henneberg moves on the graph with neighbour index lists
+    `nbrs`, in the census's order: move I on the vertex pair u < v as (u, v),
+    then move II on each edge u < v, in ascending order, and a third vertex z
+    as (u, v, z)."""
+    n = len(nbrs)
+    moves: list[tuple[int, ...]] = list(itertools.combinations(range(n), 2))
+    for u in range(n):
+        for v in sorted(w for w in nbrs[u] if w > u):
+            moves += [(u, v, z) for z in range(n) if z != u and z != v]
     return moves
 
 
-def _henneberg_child(g: Graph, move: tuple[int, ...], new: int) -> Graph:
-    """Move I joins the new vertex to u and v; move II also joins it to z and
-    deletes the edge uv."""
-    u, v, *z = move
-    edges = {edge(u, new), edge(v, new)}
-    if z:
-        edges.add(edge(z[0], new))
-        return Graph(g.vertices | {new}, (g.edges - {edge(u, v)}) | edges)
-    return Graph(g.vertices | {new}, g.edges | edges)
-
-
-def henneberg_children(g: Graph) -> list[Graph]:
-    """All one-vertex Henneberg extensions of a Laman graph.
-
-    Move I adds a degree-2 vertex; move II splits an edge with a new degree-3
-    vertex.  Both preserve the Laman property.
-    """
-    new = max(g.vertices) + 1
-    return [_henneberg_child(g, move, new) for move in _henneberg_moves(g)]
-
-
 def _child_neighbours(nbrs: list[list[int]], move: tuple[int, ...]) -> list[list[int]]:
-    """`_henneberg_child` on neighbour index lists; the new vertex is len(nbrs)
-    and the lists of the vertices the move leaves alone are shared."""
+    """The Henneberg child's neighbour index lists; the new vertex is
+    len(nbrs).  Move I joins it to u and v; move II also joins it to z and
+    deletes the edge uv.  Both preserve the Laman property.  The lists of the
+    vertices the move leaves alone are shared."""
     new = len(nbrs)
     child = nbrs.copy()
     u, v = move[0], move[1]
@@ -395,14 +380,13 @@ def _move_image(sigma: list[int], move: tuple[int, ...]) -> tuple[int, ...]:
     return (u, v) if len(move) == 2 else (u, v, sigma[move[2]])
 
 
-def _moves_up_to_symmetry(g: Graph, nbrs: list[list[int]]) -> Iterator[tuple[int, ...]]:
-    """The moves of `_henneberg_moves(g)`, in order, that no automorphism of G
-    maps to an earlier move; G's labels are 0..n-1 and `nbrs` its neighbour
-    lists."""
+def _moves_up_to_symmetry(nbrs: list[list[int]]) -> Iterator[tuple[int, ...]]:
+    """The moves of `_henneberg_moves(nbrs)`, in order, that no automorphism
+    of the graph maps to an earlier move."""
     # the identity comes first; moves are distinct, so it skips nothing
     others = _canonical_search(nbrs, automorphisms=True)[1][1:]
     skipped: set[tuple[int, ...]] = set()
-    for move in _henneberg_moves(g):
+    for move in _henneberg_moves(nbrs):
         if move not in skipped:
             skipped.update(_move_image(sigma, move) for sigma in others)
             yield move
@@ -412,9 +396,10 @@ def enumerate_laman(n: int) -> CensusResult:
     """All Laman graphs on n vertices up to isomorphism, by Henneberg closure.
 
     Every graph of a level has the labels 0..k-1, so its labels are its
-    vertex indices.  A child is keyed on neighbour lists, and its `Graph` is
-    built, and its one pebble game played, only when its key is new; the
-    game checks that it is Laman and, on the last level, whether it is basic,
+    vertex indices.  `_child_neighbours` gives a child's neighbour index
+    lists; the child is keyed on them, and its `Graph` is built from them,
+    and its one pebble game played, only when its key is new; the game
+    checks that it is Laman and, on the last level, whether it is basic,
     and is then dropped.  A move that an automorphism of the parent maps to
     an earlier move of the same parent is skipped: its child is isomorphic to
     one already keyed, so the first child of every class, which is the
@@ -431,11 +416,13 @@ def enumerate_laman(n: int) -> CensusResult:
         next_level: dict[bytes, Graph] = {}
         for parent in level.values():
             nbrs = [list(parent.neighbors(v)) for v in range(new)]
-            for move in _moves_up_to_symmetry(parent, nbrs):
-                key = _canonical_search(_child_neighbours(nbrs, move))[0]
+            for move in _moves_up_to_symmetry(nbrs):
+                child = _child_neighbours(nbrs, move)
+                key = _canonical_search(child)[0]
                 if key in next_level:
                     continue
-                g = next_level[key] = _henneberg_child(parent, move, new)
+                pairs = [(i, j) for i, row in enumerate(child) for j in row if i < j]
+                g = next_level[key] = Graph(range(new + 1), pairs)
                 game = _PebbleGame(g)
                 if not (freedom_number(g) == 0 and game.independent):
                     raise InternalInvariantError("Henneberg move produced a non-Laman graph")

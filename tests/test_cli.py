@@ -13,7 +13,7 @@ from rigicert.cli import main
 from rigicert.decomposition import BlockSplitDetail, StepRecord, decompose_unique
 from rigicert.errors import InternalInvariantError
 from rigicert.graph import MAX_DECLARED_VERTICES, Graph, edge, format_graph, is_m_connected
-from rigicert.rigidity import is_laman
+from rigicert.rigidity import internal_vertices, is_laman, mi_proper_subgraphs
 
 from conftest import g5, henneberg_ii_from_k33, henneberg_ii_plus_triangle, k4, k33, prism, triangle
 
@@ -242,6 +242,22 @@ def test_reduce_above_12_vertices(tmp_path, capsys):
     result = report_of(out)["result"]
     assert [s["kind"] for s in result["steps"]] == ["SURGERY"]
     assert result["terminal_kind"] == "DOUBLET" and len(result["terminals"]) == 1
+
+
+def test_reduce_refuses_a_tie_above_12_vertices(tmp_path, capsys):
+    # two 13-vertex Henneberg II graphs joined by three edges: both maximal MI
+    # subgraphs have 13 vertices and internal ones, so the tie-break needs a
+    # canonical form past its cap
+    a, b = henneberg_ii_from_k33(3, 13), henneberg_ii_from_k33(4, 13)
+    joined = {(u + 13, v + 13) for u, v in b.edges} | {(0, 13), (1, 14), (2, 15)}
+    g = Graph(range(26), a.edges | joined)
+    assert is_laman(g) and is_m_connected(g, 3)
+    maximal = mi_proper_subgraphs(g)
+    assert [len(w) for w in maximal] == [13, 13]
+    assert all(internal_vertices(g, w) for w in maximal)
+    code, out, err = run_cli(capsys, "reduce", write_graph(tmp_path, g))
+    assert (code, out) == (2, "")
+    assert err == "precondition failed: canonical form supports at most 12 vertices\n"
 
 
 def test_block_split_step_json():

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 from rigicert.cli import main
 from rigicert.errors import ParseError
 from rigicert.graph import Graph, format_graph, parse_graph
-from rigicert.rigidity import henneberg_children
+
+from oracles import henneberg_children_by_label
 
 GRAPH_COMMANDS = ("check", "decompose", "classify", "reduce")
 MAX_VERTICES = 30
@@ -44,7 +45,7 @@ def laman_graphs(draw):
     moves chosen by the draw, so that the reduction gets past its checks."""
     g = Graph(range(3), [(0, 1), (0, 2), (1, 2)])
     for _ in range(draw(st.integers(0, MAX_VERTICES - 3))):
-        children = henneberg_children(g)
+        children = henneberg_children_by_label(g)
         g = children[draw(st.integers(0, len(children) - 1))]
     return g
 

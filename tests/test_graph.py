@@ -22,12 +22,12 @@ from rigicert.graph import (
     separation_blocks,
     separation_pairs,
 )
-from rigicert.rigidity import henneberg_children
 
 from conftest import g5, k4, k4_minus_edge, k5, k33, prism, triangle, two_triangles
 from oracles import (
     automorphism_count_exhaustive,
     canonical_form_recursive,
+    henneberg_children_by_label,
     is_planar_kuratowski,
     separating_sets_exhaustive,
 )
@@ -277,7 +277,7 @@ def test_canonical_form_matches_the_recursive_search_on_labels():
 
 
 def test_canonical_form_matches_the_recursive_search_on_census_children(census_by_n):
-    children = [c for g in census_by_n[7].representatives for c in henneberg_children(g)]
+    children = [c for g in census_by_n[7].representatives for c in henneberg_children_by_label(g)]
     assert len(children) > 5000
     for child in children:
         assert canonical_form(child) == canonical_form_recursive(child)
