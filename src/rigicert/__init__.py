@@ -18,7 +18,6 @@ from .graph import (
     is_m_connected,
     is_planar,
     parse_graph,
-    separation_blocks,
     separation_pairs,
 )
 from .rigidity import (
@@ -57,7 +56,6 @@ __all__ = [
     "is_m_connected",
     "is_planar",
     "parse_graph",
-    "separation_blocks",
     "separation_pairs",
     "CensusResult",
     "enumerate_laman",

@@ -273,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--pretty", action="store_true", help="indent the JSON report")
     parser.add_argument(
-        "--tol", type=float, default=1e-9, help="numeric tolerance for embedding checks"
+        "--tol", type=float, default=1e-9, help="ignored: no command reads it (reports echo it)"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -3,13 +3,13 @@ classifier, and the reduction engine that drives every 3-connected non-basic
 Laman graph down to a basic graph or the doublet.
 
 Two different decompositions coexist deliberately.  Both cut a block at a
-separation pair through `_split_block`, and they differ in one place only:
-`decompose_unique` keeps redundant virtual edges (connectivity bookkeeping for
-the reduction engine), while `qs_classify` recurses on `Block.core()` of each
-part, so it re-examines freedom-0 parts as plain Laman graphs and never
-records a redundant edge.  Conflating them misclassifies blocks such as
-K4-minus-an-edge, which is quadratically soluble yet 3-connected once its
-redundant edge is included.
+separation pair through `_split_block`, which builds each part's graph once,
+and they differ in one place only: `decompose_unique` keeps redundant virtual
+edges (connectivity bookkeeping for the reduction engine), while `qs_classify`
+recurses on `Block.core()` of each part, so it re-examines freedom-0 parts as
+plain Laman graphs and never records a redundant edge.  Conflating them
+misclassifies blocks such as K4-minus-an-edge, which is quadratically soluble
+yet 3-connected once its redundant edge is included.
 
 A separation pair is an `Edge` (a, b), a < b.  Both decompositions split a
 block at its least separation pair, the first one the enumeration behind
@@ -34,11 +34,11 @@ from .graph import (
     SeparationEvent,
     _separating_sets,
     canonical_form,
+    connected_components,
     contract_edge,
-    freedom_number,
+    edge,
     is_m_connected,
     is_planar,
-    separation_blocks,
 )
 from .rigidity import (
     _surgery,
@@ -57,28 +57,33 @@ def _first_separation_pair(b: Block) -> Edge | None:
     """The least separation pair of a working block, virtual and redundant
     edges included; None for a 3-connected block and for one of fewer than 4
     vertices, which no pair separates."""
+    if b.subgraph.n < 4:
+        return None
     return next(_separating_sets(b.subgraph, 2), None)
 
 
 def _split_block(b: Block, pair: Edge) -> tuple[list[Block], SeparationEvent]:
-    """One separation: re-close components over the pair and add the virtual
-    edge, marking it redundant where the core already has freedom 0."""
+    """One separation, the only code that cuts a graph at a pair: each
+    component of G - {a, b} becomes one `Graph`, its induced edges plus ab.
+    A missing ab is virtual, and redundant where the part's core, counted
+    from its vertices and edges, already has freedom 0."""
     g = b.subgraph
     had_edge = pair in g.edges
     parts: list[Block] = []
     freedoms: list[int] = []
-    for sub in separation_blocks(g, pair):
-        virt = b.virtual_edges & sub.edges
-        red = b.redundant_flags & sub.edges
-        core_free = freedom_number(sub) + len(red)
+    for comp in connected_components(g, pair):
+        edges = {edge(v, w) for v in comp for w in g.neighbors(v)} | {pair}
+        virt = b.virtual_edges & edges
+        red = b.redundant_flags & edges
+        # the core: the part less its redundant edges, and less ab where G lacks it
+        core_edges = len(edges) - len(red) - (not had_edge)
+        core_free = 2 * (len(comp) + 2) - core_edges - 3
         freedoms.append(core_free)
-        if had_edge:
-            parts.append(Block(sub, virt, red))
-        else:
-            new_sub = sub.with_edges([pair])
-            new_virt = virt | {pair}
-            new_red = red | ({pair} if core_free == 0 else frozenset())
-            parts.append(Block(new_sub, new_virt, new_red))
+        if not had_edge:
+            virt |= {pair}
+            if core_free == 0:
+                red |= {pair}
+        parts.append(Block(Graph(comp | set(pair), edges), virt, red))
     _assert_freedom_pattern(had_edge, freedoms, pair)
     return parts, SeparationEvent(pair, tuple(freedoms), had_edge)
 

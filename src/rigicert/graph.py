@@ -11,7 +11,8 @@ not ab is an edge of the graph.  `is_m_connected` and `separation_pairs` read
 one enumeration of the vertex sets whose removal disconnects the rest,
 `_separating_sets`: it removes vertices in ascending order and recurses, and
 answers the last vertex of each set with one lowpoint DFS for the cut vertices
-of what is left, so a scan for separation pairs costs O(n (n + e)).
+of what is left, so a scan for separation pairs costs O(n (n + e)).  Cutting a
+graph at a pair is left to the block decomposition, which adds virtual edges.
 
 Canonical forms come from one search on neighbour index lists,
 `_canonical_search`, vertex i being the i-th smallest label; on request it
@@ -143,7 +144,11 @@ class Block:
             raise InputError("virtual edges must be edges of the block subgraph")
 
     def core(self) -> Graph:
-        """The block with redundant virtual edges stripped (solvability view)."""
+        """The block with redundant virtual edges stripped (solvability view);
+        the subgraph itself where there is nothing to strip, since graphs are
+        immutable."""
+        if not self.redundant_flags:
+            return self.subgraph
         return self.subgraph.without_edges(self.redundant_flags)
 
     def is_triangle(self) -> bool:
@@ -315,19 +320,6 @@ def separation_pairs(g: Graph) -> list[Edge]:
     if g.n < 4:
         raise InputError("separation pairs require at least 4 vertices")
     return list(_separating_sets(g, 2))
-
-
-def separation_blocks(g: Graph, pair: Edge) -> list[Graph]:
-    """The components of G - {a,b}, each re-closed over the pair, in ascending
-    order of the component's least vertex."""
-    pair = edge(*pair)
-    a, b = pair
-    if a not in g.vertices or b not in g.vertices:
-        raise InputError(f"pair {pair} not in the vertex set")
-    comps = connected_components(g, pair)
-    if len(comps) < 2:
-        raise InputError(f"pair {pair} does not separate the graph")
-    return [induced_subgraph(g, comp | {a, b}) for comp in comps]
 
 
 def contract_edge(g: Graph, e: Edge) -> Graph:

@@ -120,3 +120,17 @@ def pebble_games(monkeypatch):
 
     monkeypatch.setattr(rigidity._PebbleGame, "__init__", counting_init)
     return built
+
+
+@pytest.fixture
+def graphs_built(monkeypatch):
+    """The graphs constructed while the test runs, in order."""
+    built: list[Graph] = []
+    init = Graph.__init__
+
+    def counting_init(g, vertices=(), edges=()):
+        init(g, vertices, edges)
+        built.append(g)
+
+    monkeypatch.setattr(Graph, "__init__", counting_init)
+    return built

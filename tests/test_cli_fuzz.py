@@ -16,6 +16,7 @@ from rigicert.cli import main
 from rigicert.errors import ParseError
 from rigicert.graph import Graph, format_graph, parse_graph
 
+from conftest import k33
 from oracles import henneberg_children_by_label
 
 GRAPH_COMMANDS = ("check", "decompose", "classify", "reduce")
@@ -39,14 +40,29 @@ def edge_sets(draw):
     return Graph(labels, edges)
 
 
+def henneberg_child(g: Graph, i: int) -> Graph:
+    """`henneberg_children_by_label(g)[i]`, built alone: the first C(n, 2)
+    children are move I on each vertex pair, the next e (n - 2) move II on
+    each edge and each third vertex."""
+    new = max(g.vertices) + 1
+    vertices = g.sorted_vertices()
+    pairs = g.n * (g.n - 1) // 2
+    if i < pairs:
+        u, v = next(itertools.islice(itertools.combinations(vertices, 2), i, None))
+        return Graph(g.vertices | {new}, g.edges | {(u, new), (v, new)})
+    u, v = g.sorted_edges()[(i - pairs) // (g.n - 2)]
+    z = [w for w in vertices if w not in (u, v)][(i - pairs) % (g.n - 2)]
+    return Graph(g.vertices | {new}, (g.edges - {(u, v)}) | {(u, new), (v, new), (z, new)})
+
+
 @st.composite
 def laman_graphs(draw):
     """A Laman graph on up to 30 vertices grown from a triangle by Henneberg
     moves chosen by the draw, so that the reduction gets past its checks."""
     g = Graph(range(3), [(0, 1), (0, 2), (1, 2)])
     for _ in range(draw(st.integers(0, MAX_VERTICES - 3))):
-        children = henneberg_children_by_label(g)
-        g = children[draw(st.integers(0, len(children) - 1))]
+        count = g.n * (g.n - 1) // 2 + g.e * (g.n - 2)  # the oracle's list length
+        g = henneberg_child(g, draw(st.integers(0, count - 1)))
     return g
 
 
@@ -66,6 +82,13 @@ def assert_clean_exits(path: str) -> None:
             assert json.loads(out)["command"] == command and err == ""
         else:
             assert out == "" and err.count("\n") == 1
+
+
+def test_henneberg_child_is_the_oracle_child():
+    bowtie = Graph((2, 5, 9, 11), [(2, 5), (2, 9), (5, 9), (5, 11), (9, 11)])
+    for g in (Graph(range(3), [(0, 1), (0, 2), (1, 2)]), bowtie, k33()):
+        children = henneberg_children_by_label(g)
+        assert [henneberg_child(g, i) for i in range(len(children))] == children
 
 
 @given(token_streams)

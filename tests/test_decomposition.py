@@ -11,6 +11,7 @@ from rigicert.decomposition import (
     TerminalKind,
     Verdict,
     _first_separation_pair,
+    _reduce_step,
     _split_block,
     decompose_unique,
     is_doublet,
@@ -30,7 +31,7 @@ from rigicert.graph import (
     parse_graph,
     separation_pairs,
 )
-from rigicert.rigidity import is_basic, is_laman, mi_proper_subgraphs
+from rigicert.rigidity import is_basic, is_laman, maximal_mi_subgraph, mi_proper_subgraphs
 
 from conftest import (
     decompose_relabelled,
@@ -180,6 +181,17 @@ def test_deep_chains_of_splits_need_no_recursion():
     assert len(d.blocks) == 58 and all(b.is_triangle() for b in d.blocks)
 
 
+@pytest.mark.parametrize("n", [6, 20])
+def test_block_splits_build_one_graph_per_part(n, graphs_built):
+    # a strip splits n - 3 times into two parts, each built once, and a
+    # block with nothing to strip is its own core
+    for split_all in (decompose_unique, qs_classify):
+        g = triangle_strip(n)
+        graphs_built.clear()
+        split_all(g)
+        assert len(graphs_built) == 2 * (n - 3)
+
+
 def test_decompose_freedom_pattern_events(census_by_n):
     for n in range(4, 8):
         for g in census_by_n[n].representatives:
@@ -301,6 +313,30 @@ def test_reduce_step_emits_smaller_three_connected(census_by_n):
             assert child.n <= 7
             assert is_laman(child)
             assert is_m_connected(child, 3)
+
+
+def test_one_round_on_each_census_graph_never_splits_a_block(census_by_n):
+    # one round on every 3-connected non-basic Laman graph of 7 and 8
+    # vertices, the inputs every reduction round takes, counted by the kinds
+    # of step it records; no round reaches the block-split branch
+    surgery, contraction = StepKind.SURGERY, StepKind.CONTRACTION
+    expected = {
+        7: (3, 0, {(surgery,): 1, (surgery, contraction): 2}),
+        8: (24, 2, {(surgery,): 11, (surgery, contraction): 11}),
+    }
+    for n, (three_connected, basic, kinds) in expected.items():
+        graphs = [g for g in census_by_n[n].representatives if is_m_connected(g, 3)]
+        rounds = []
+        for g in graphs:
+            r = maximal_mi_subgraph(g)
+            if r is None:
+                continue
+            children, records = _reduce_step(g, r)
+            rounds.append(tuple(record.kind for record in records))
+            for child in children:
+                assert is_laman(child) and is_m_connected(child, 3)
+        assert len(graphs) == three_connected and len(graphs) - len(rounds) == basic
+        assert {k: rounds.count(k) for k in set(rounds)} == kinds
 
 
 def test_reduce_to_terminal_basics_and_doublet():

@@ -4,9 +4,11 @@ import random
 import networkx as nx
 import pytest
 
+from rigicert.decomposition import _split_block
 from rigicert.errors import InputError, ParseError, UnsupportedSizeError
 from rigicert.graph import (
     MAX_DECLARED_VERTICES,
+    Block,
     Graph,
     _canonical_search,
     _separating_sets,
@@ -19,7 +21,6 @@ from rigicert.graph import (
     is_m_connected,
     is_planar,
     parse_graph,
-    separation_blocks,
     separation_pairs,
 )
 
@@ -165,44 +166,43 @@ def test_separation_pairs_examples():
         separation_pairs(triangle())
 
 
+def split_parts(g: Graph, pair) -> list[Graph]:
+    parts, _ = _split_block(Block(g), pair)
+    return [p.subgraph for p in parts]
+
+
 def test_separation_blocks():
-    blocks = separation_blocks(k4_minus_edge(), (2, 3))
+    blocks = split_parts(k4_minus_edge(), (2, 3))
     keys = sorted(tuple(sorted(b.vertices)) for b in blocks)
     assert keys == [(0, 2, 3), (1, 2, 3)]
     for b in blocks:
         assert b.e == 3
 
-    blocks = separation_blocks(g5(), (0, 1))
+    blocks = split_parts(g5(), (0, 1))
     keys = sorted(tuple(sorted(b.vertices)) for b in blocks)
     assert keys == [(0, 1, 2, 3), (0, 1, 4)]
 
     bowtie = Graph(range(4), [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)])
-    blocks = separation_blocks(bowtie, (0, 1))
+    blocks = split_parts(bowtie, (0, 1))
     assert all(b.n == 3 and b.e == 3 for b in blocks)
 
-    with pytest.raises(InputError):
-        separation_blocks(k33(), (1, 2))
-    with pytest.raises(InputError):
-        separation_blocks(k4_minus_edge(), (2, 2))
 
-
-def test_separation_block_union_and_intersection():
-    rng = random.Random(11)
+def test_separation_block_union_and_intersection(census_by_n):
+    # the parts of a Laman graph cut at any of its separation pairs: the
+    # pair's edge is added where missing, and the parts meet only in it
     checked = 0
-    while checked < 40:
-        g = random_graph(rng, rng.randint(4, 8), rng.uniform(0.25, 0.6))
-        try:
-            pairs = separation_pairs(g)
-        except InputError:
-            continue
-        for p in pairs:
-            blocks = separation_blocks(g, p)
-            union_v = set().union(*(b.vertices for b in blocks))
-            union_e = set().union(*(b.edges for b in blocks))
-            assert union_v == g.vertices and union_e == g.edges
-            for b1, b2 in itertools.combinations(blocks, 2):
-                assert b1.vertices & b2.vertices == set(p)
-            checked += 1
+    for n in range(4, 8):
+        for g in census_by_n[n].representatives:
+            for p in separation_pairs(g):
+                blocks = split_parts(g, p)
+                union_v = set().union(*(b.vertices for b in blocks))
+                union_e = set().union(*(b.edges for b in blocks))
+                assert union_v == g.vertices and union_e == g.edges | {p}
+                for b1, b2 in itertools.combinations(blocks, 2):
+                    assert b1.vertices & b2.vertices == set(p)
+                    assert b1.edges & b2.edges == {p}
+                checked += 1
+    assert checked == 168
 
 
 def test_contract_edge():
