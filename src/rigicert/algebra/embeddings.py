@@ -29,32 +29,27 @@ def construction_order(graph: Graph, base: Edge) -> list[tuple[int, int, int]]:
     Exists iff repeatedly stripping degree-2 vertices (never the base pair)
     reduces the graph to the base edge; in a Laman graph that strip order is
     unique up to interleaving, so greedy stripping is complete.
+
+    The strip keeps one degree table over the remaining vertices and always
+    takes the smallest-label non-base vertex of degree 2.  It can only end on
+    the base edge: the base vertices are never stripped, and they are joined.
     """
     base = edge(*base)
     if base not in graph.edges:
         raise InputError(f"base {base} is not an edge of the graph")
-    work = graph
+    degree = {v: graph.degree(v) for v in graph.vertices}
     stripped: list[tuple[int, int, int]] = []
-    while work.n > 2:
-        candidate = next(
-            (
-                v
-                for v in work.sorted_vertices()
-                if v not in base and work.degree(v) == 2
-            ),
-            None,
-        )
+    while len(degree) > 2:
+        candidate = min((v for v, k in degree.items() if k == 2 and v not in base), default=None)
         if candidate is None:
             raise NotQuadraticallyConstructibleError(
                 "no degree-2 vertex left to strip; the graph is not a triangular quadratic chain"
             )
-        a, b = sorted(work.neighbors(candidate))
+        del degree[candidate]
+        a, b = sorted(u for u in graph.neighbors(candidate) if u in degree)
+        degree[a] -= 1
+        degree[b] -= 1
         stripped.append((candidate, a, b))
-        work = Graph(work.vertices - {candidate}, [e for e in work.edges if candidate not in e])
-    if work.edges != {base}:
-        raise NotQuadraticallyConstructibleError(
-            "stripping did not end on the base edge; distances do not form a quadratic chain"
-        )
     return list(reversed(stripped))
 
 

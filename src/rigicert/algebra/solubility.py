@@ -3,8 +3,9 @@
 Factorization degree patterns of an integer polynomial modulo good primes are
 cycle types of elements of its Galois group (Dedekind).  A prime q is good when
 it does not divide the leading coefficient and p mod q is squarefree; the
-sieve reads only those reductions.  Three sound rules can refute solubility of
-a transitive group from observed cycle types:
+sieve reads only those reductions, through `unipoly._good_split`, the one
+reader of p mod q, which factoring uses too.  Three sound rules can refute
+solubility of a transitive group from observed cycle types:
 
   jordan_prime_cycle   a p-cycle with n/2 < p <= n-3, p prime: the group is
                        primitive and contains the alternating group.
@@ -18,13 +19,15 @@ a transitive group from observed cycle types:
 
 The sieve asks each prime only what a rule can answer.  Once per degree it
 collects the count prefixes (c_1, ..., c_d) of the cycle types that meet a
-rule, c_i the number of i-cycles, and it stops the distinct-degree sweep of a
-prime as soon as the factor counts found so far are no such prefix; at degree
-16 that is after degree 1 for most primes, since c_1 must be 3 or 5.  Only a
-prime that gets through the whole sweep is tested for a squarefree
-reduction.  At degrees 2, 3, 4, 5 and 7 no cycle type meets any rule, so the
-certificate ends INCONCLUSIVE at once there, without scanning a prime.  Prime
-bounds above MAX_PRIME_BOUND or below 2 are refused with InputError.
+rule, c_i the number of i-cycles; outside the two table degrees only types
+with one nontrivial cycle can meet one, so that takes n - 1 types, not every
+partition of n.  `_good_split` stops the distinct-degree sweep of a prime as
+soon as the factor counts found so far are no such prefix; at degree 16 that
+is after degree 1 for most primes, since c_1 must be 3 or 5.  Only a prime
+that gets through the whole sweep is tested for a squarefree reduction.  At
+degrees 2, 3, 4, 5 and 7 no cycle type meets any rule, so the certificate
+ends INCONCLUSIVE at once there, without scanning a prime.  Prime bounds
+above MAX_PRIME_BOUND or below 2 are refused with InputError.
 """
 
 from __future__ import annotations
@@ -35,16 +38,7 @@ from functools import lru_cache
 from typing import Iterator, Sequence
 
 from ..errors import InputError
-from .unipoly import (
-    UniPoly,
-    _distinct_degree_steps,
-    factor_over_q,
-    gf_from_int,
-    gf_is_squarefree,
-    gf_monic,
-    is_prime,
-    primes_up_to,
-)
+from .unipoly import UniPoly, _good_split, _split_degrees, factor_over_q, is_prime, primes_up_to
 
 Permutation = tuple[int, ...]
 
@@ -217,11 +211,12 @@ class SolubilityCertificate:
 
 
 def _partitions(n: int) -> Iterator[tuple[int, ...]]:
-    """Every partition of n as an ascending tuple, the cycle types of S_n.
+    """Every partition of n as an ascending tuple, the cycle types of S_n;
+    the one partition of 0 is ().
 
     Walks the parts in descending order: take one from the last part above
     1 and refill the tail with parts of that size."""
-    parts = [n]
+    parts = [n] if n else []
     while True:
         yield tuple(reversed(parts))
         ones = 0
@@ -242,37 +237,22 @@ def _partitions(n: int) -> Iterator[tuple[int, ...]]:
 def _rule_prefixes(n: int) -> frozenset[tuple[int, ...]]:
     """Every count prefix (c_1, ..., c_d), 1 <= d <= n, of a cycle type of
     degree n that meets a rule, c_i its number of i-cycles.  Empty where no
-    type meets a rule: then no prime can give a witness."""
+    type meets a rule: then no prime can give a witness.
+
+    The Jordan and Burnside rules each ask for exactly one nontrivial cycle,
+    so only the table rule can meet a type with more.  Without a table the
+    candidates are the n - 1 types (1^(n-k), k), 2 <= k <= n, instead of
+    every partition of n, whose number grows exponentially."""
+    if RULE_TABLE in rules_for_degree(n):
+        types = _partitions(n)
+    else:
+        types = ((1,) * (n - k) + (k,) for k in range(2, n + 1))
     prefixes: set[tuple[int, ...]] = set()
-    for t in _partitions(n):
+    for t in types:
         if _rule_hit(t, n) is not None:
             counts = tuple(t.count(i) for i in range(1, n + 1))
             prefixes.update(counts[:d] for d in range(1, n + 1))
     return frozenset(prefixes)
-
-
-def _rule_meeting_type_mod(p: UniPoly, q: int, prefixes: frozenset[tuple[int, ...]]) -> tuple[int, ...] | None:
-    """The degree multiset of p mod q where p mod q is squarefree and its
-    whole count vector is in `prefixes`, that is, where it is a cycle type
-    that meets a rule; else None.  q must not divide the leading coefficient.
-
-    The distinct-degree sweep stops as soon as the counts found so far are
-    no prefix, and only a reduction that gets through the whole sweep is
-    tested for being squarefree.  A prime that stops early is one whose
-    cycle type meets no rule; a reduction that is not squarefree stops early
-    or fails the test.  So the answer is that of `degree_multiset_mod`
-    followed by `_rule_hit`.
-    """
-    f = gf_monic(gf_from_int(p.coeffs, q), q)
-    counts: list[int] = []
-    for g, d in _distinct_degree_steps(f, q):
-        counts += [0] * (d - 1 - len(counts))  # degrees the last step jumps over
-        counts.append((len(g) - 1) // d)
-        if tuple(counts) not in prefixes:
-            return None
-    if not gf_is_squarefree(f, q):
-        return None
-    return tuple(d for d, c in enumerate(counts, 1) for _ in range(c))
 
 
 def nonsolubility_certificate(p: UniPoly, prime_bound: int = 10000) -> SolubilityCertificate:
@@ -304,10 +284,9 @@ def _certificate(p: UniPoly, prime_bound: int) -> SolubilityCertificate:
     prefixes = _rule_prefixes(n)
     if prefixes:
         for q in primes_up_to(prime_bound):
-            if p.leading % q == 0:
-                continue
-            multiset = _rule_meeting_type_mod(p, q, prefixes)
-            if multiset is not None:
+            split = _good_split(p, q, prefixes)
+            if split is not None:
+                multiset = _split_degrees(split)
                 witness = (q, multiset, _rule_hit(multiset, n))
                 return SolubilityCertificate(p, SolubilityVerdict.NOT_SOLUBLE, witness, rules, prime_bound)
     return SolubilityCertificate(p, SolubilityVerdict.INCONCLUSIVE, None, rules, prime_bound)

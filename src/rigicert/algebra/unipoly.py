@@ -3,11 +3,13 @@
 The factorization pipeline is the classical one: Yun squarefree decomposition,
 Cantor-Zassenhaus factorization modulo a good prime, quadratic multifactor
 Hensel lifting past the Mignotte bound, and subset recombination.  The prime
-is chosen by factor counts alone: of the first four odd primes that keep the
-part squarefree and do not divide its leading coefficient, the one with the
-fewest factors in its distinct-degree split; Cantor-Zassenhaus runs on that
-prime only.  Everything runs on Python's arbitrary-precision integers.  The
-gcds of Yun's algorithm come from the heuristic gcd GCDHEU (`poly_gcd`): one
+is chosen by factor counts alone: of the first four good odd primes, the one
+with the fewest factors in its distinct-degree split; Cantor-Zassenhaus runs
+on that split, so the winner is not swept again.  A prime q is good for p
+when q does not divide lc(p) and p mod q is squarefree; `_good_split` alone
+decides that, for the prime choice, `degree_multiset_mod` and the solubility
+sieve.  Everything runs on Python's arbitrary-precision integers.  The gcds
+of Yun's algorithm come from the heuristic gcd GCDHEU (`poly_gcd`): one
 integer gcd of the two operands' values at a large point, read back as a
 polynomial and accepted only after trial division.
 
@@ -361,7 +363,7 @@ def _distinct_degree_steps(f: list[int], q: int) -> Iterator[tuple[list[int], in
     later degree is one product of h with the matrix.  h stays reduced mod f,
     not mod the shrinking cofactor: work divides f, so gcd(h - x, work) is
     the same.  On a non-squarefree f the pairs mean nothing, but the steps
-    still end.
+    still end.  Raises InputError unless deg f * q^2 < 2^63 (packed slots).
     """
     n = len(f) - 1
     if n * q * q >= _SLOT_LIMIT:
@@ -391,14 +393,6 @@ def _distinct_degree_steps(f: list[int], q: int) -> Iterator[tuple[list[int], in
         yield g, d
 
 
-def gf_distinct_degree(f: list[int], q: int) -> list[tuple[list[int], int]]:
-    """[(product of irreducible factors of degree d, d)] for monic squarefree f.
-
-    Raises InputError unless deg f * q^2 < 2^63 (the packed kernel's slots).
-    """
-    return [(g, d) for g, d in _distinct_degree_steps(f, q) if len(g) > 1]
-
-
 def gf_equal_degree_split(f: list[int], d: int, q: int, rng: random.Random) -> list[list[int]]:
     """Cantor-Zassenhaus split of a monic product of degree-d irreducibles, odd q.
 
@@ -425,35 +419,63 @@ def gf_equal_degree_split(f: list[int], d: int, q: int, rng: random.Random) -> l
         return gf_equal_degree_split(h, d, q, rng) + gf_equal_degree_split(other, d, q, rng)
 
 
-def gf_factor_squarefree(f: list[int], q: int) -> list[list[int]]:
-    """Sorted monic irreducible factors of a monic squarefree polynomial, odd q.
+def gf_factor_squarefree(split: list[tuple[list[int], int]], q: int) -> list[list[int]]:
+    """Sorted monic irreducible factors of a monic squarefree polynomial over
+    GF(q), odd q, from its distinct-degree split (`_good_split`).
 
     The equal-degree splits draw from `random.Random(q)`; the sorted output
     does not depend on the draws."""
     rng = random.Random(q)
     out: list[list[int]] = []
-    for prod, d in gf_distinct_degree(f, q):
+    for prod, d in split:
         out.extend(gf_equal_degree_split(prod, d, q, rng))
     out.sort()
     return out
 
 
+def _good_split(p: UniPoly, q: int, prefixes: frozenset | None = None) -> list[tuple[list[int], int]] | None:
+    """The distinct-degree split [(g, d)] of p mod q (the pairs of
+    `_distinct_degree_steps` with g != [1]) where q is good: q does not divide
+    lc(p) and p mod q is squarefree, so that by Dedekind the degrees are a
+    Frobenius cycle type.  Else None, and, given `prefixes`, None as soon as
+    the factor counts (c_1, ..., c_d) of degrees 1..d are none of them.
+    Since the prefixes turn most primes down within the first degrees, the
+    squarefree test then waits until the whole sweep is done (a sweep ends on
+    any f); without them it runs first, and saves a bad prime its sweep.
+    """
+    if p.leading % q == 0:
+        return None
+    f = gf_monic(gf_from_int(p.coeffs, q), q)
+    if prefixes is None:
+        if not gf_is_squarefree(f, q):
+            return None
+        return [(g, d) for g, d in _distinct_degree_steps(f, q) if len(g) > 1]
+    split, counts = [], []
+    for g, d in _distinct_degree_steps(f, q):
+        counts += [0] * (d - 1 - len(counts))
+        counts.append((len(g) - 1) // d)
+        if tuple(counts) not in prefixes:
+            return None
+        if len(g) > 1:
+            split.append((g, d))
+    return split if gf_is_squarefree(f, q) else None
+
+
+def _split_degrees(split: Sequence[tuple[list[int], int]]) -> tuple[int, ...]:
+    """The ascending factor degrees of a distinct-degree split."""
+    return tuple(d for g, d in split for _ in range((len(g) - 1) // d))
+
+
 def degree_multiset_mod(p: UniPoly, q: int) -> tuple[int, ...] | None:
     """Sorted degrees of the irreducible factors of p mod q, or None where
-    p mod q is not squarefree: by Dedekind's theorem only squarefree
-    reductions give Frobenius cycle types, so no caller reads the others.
+    p mod q is not squarefree (`_good_split`).
 
     Requires q not dividing the leading coefficient.
     """
     if p.leading % q == 0:
         raise InputError(f"{q} divides the leading coefficient")
-    f = gf_monic(gf_from_int(p.coeffs, q), q)
-    if not gf_is_squarefree(f, q):
-        return None
-    degrees: list[int] = []
-    for prod, d in gf_distinct_degree(f, q):
-        degrees.extend([d] * ((len(prod) - 1) // d))
-    return tuple(sorted(degrees))
+    split = _good_split(p, q)
+    return None if split is None else _split_degrees(split)
 
 
 # ---------------------------------------------------------------------------
@@ -531,24 +553,23 @@ def _mignotte_bound(f: UniPoly) -> int:
 def _choose_factoring_prime(f: UniPoly) -> tuple[int, list[list[int]]]:
     """The prime to factor f at, with the monic factors of f mod that prime.
 
-    The candidates are the odd primes not dividing lc(f) where f stays
-    squarefree, in ascending order.  Among the first four, the one with the
-    fewest factors (`degree_multiset_mod`) wins, the smallest on a tie, and
-    the scan stops early at a prime with one factor.  Cantor-Zassenhaus runs
-    on the chosen prime only.
+    The candidates are the good odd primes (`_good_split`), in ascending
+    order.  Among the first four, the one with the fewest factors in its
+    distinct-degree split wins, the smallest on a tie, and the scan stops
+    early at a prime with one factor.  Cantor-Zassenhaus runs on the chosen
+    prime's split only, so no prime is swept twice.
     """
-    counts: list[tuple[int, int]] = []  # (factors, prime)
+    candidates = []  # (factors, prime, split)
     for q in filter(is_prime, itertools.count(3, 2)):
-        if f.leading % q == 0:
+        split = _good_split(f, q)
+        if split is None:
             continue
-        degrees = degree_multiset_mod(f, q)
-        if degrees is None:
-            continue
-        counts.append((len(degrees), q))
-        if len(counts) == 4 or len(degrees) == 1:
+        factors = len(_split_degrees(split))
+        candidates.append((factors, q, split))
+        if len(candidates) == 4 or factors == 1:
             break
-    _, q = min(counts)
-    return q, gf_factor_squarefree(gf_monic(gf_from_int(f.coeffs, q), q), q)
+    _, q, split = min(candidates, key=lambda c: c[:2])
+    return q, gf_factor_squarefree(split, q)
 
 
 def factor_squarefree_primitive(f: UniPoly) -> list[UniPoly]:

@@ -8,7 +8,9 @@ game's rigid components of every edge of every G - x, the canonical form by
 a recursive search on labels, the census by plain Henneberg closure, the
 resultant's subresultant sequence over Fraction-valued polynomials, the
 integer gcd by a primitive polynomial remainder sequence, powers in
-GF(q)[x]/(f) on coefficient lists).
+GF(q)[x]/(f) on coefficient lists, the sieve's rule prefixes from every
+partition of n, the construction order by rebuilding the graph per stripped
+vertex).
 None of them is used by the package itself.
 """
 
@@ -19,11 +21,13 @@ import math
 from fractions import Fraction
 
 from rigicert.algebra.multipoly import MultiPoly
+from rigicert.algebra.solubility import _rule_hit
 from rigicert.algebra.unipoly import UniPoly, degree_multiset_mod, gf_mul, gf_rem, primes_up_to
 from rigicert.errors import (
     DegenerateInputError,
     InputError,
     InternalInvariantError,
+    NotQuadraticallyConstructibleError,
     UnsupportedSizeError,
 )
 from rigicert.graph import Edge, Graph, canonical_form, connected_components, contract_edge, edge
@@ -522,3 +526,46 @@ def frobenius_cycle_types(p: UniPoly, prime_bound: int) -> tuple[list[tuple[int,
             continue
         reports.append((q, degree_multiset_mod(p, q)))
     return reports, skipped
+
+
+def rule_prefixes_from_partitions(n: int) -> set[tuple[int, ...]]:
+    """`_rule_prefixes` as it was first defined: `_rule_hit` on every
+    partition of n, each partition built by recursion on its largest part."""
+    def partitions(rest: int, largest: int):
+        if rest == 0:
+            yield ()
+        for part in range(min(rest, largest), 0, -1):
+            for tail in partitions(rest - part, part):
+                yield tail + (part,)
+
+    prefixes = set()
+    for t in partitions(n, n):
+        if _rule_hit(t, n) is not None:
+            counts = tuple(t.count(i) for i in range(1, n + 1))
+            prefixes.update(counts[:d] for d in range(1, n + 1))
+    return prefixes
+
+
+def construction_order_by_rebuild(graph: Graph, base: Edge) -> list[tuple[int, int, int]]:
+    """`construction_order` by stripping the smallest-label non-base vertex
+    of degree 2 and rebuilding the graph without it, then checking that the
+    strip ended on the base edge."""
+    base = edge(*base)
+    if base not in graph.edges:
+        raise InputError(f"base {base} is not an edge of the graph")
+    work = graph
+    stripped = []
+    while work.n > 2:
+        candidate = next((v for v in work.sorted_vertices() if v not in base and work.degree(v) == 2), None)
+        if candidate is None:
+            raise NotQuadraticallyConstructibleError(
+                "no degree-2 vertex left to strip; the graph is not a triangular quadratic chain"
+            )
+        a, b = sorted(work.neighbors(candidate))
+        stripped.append((candidate, a, b))
+        work = Graph(work.vertices - {candidate}, [e for e in work.edges if candidate not in e])
+    if work.edges != {base}:
+        raise NotQuadraticallyConstructibleError(
+            "stripping did not end on the base edge; distances do not form a quadratic chain"
+        )
+    return list(reversed(stripped))

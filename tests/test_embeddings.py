@@ -18,7 +18,8 @@ from rigicert.errors import (
 from rigicert.graph import Graph, edge
 from rigicert.rigidity import is_laman
 
-from conftest import k4_minus_edge, k33, triangle
+from conftest import k4_minus_edge, k33, relabel, triangle
+from oracles import construction_order_by_rebuild
 
 
 def planted_henneberg_one(rng: random.Random, n: int):
@@ -90,6 +91,29 @@ def test_construction_order_errors():
     four_cycle = Graph(range(4), [(0, 1), (1, 2), (2, 3), (0, 3)])
     with pytest.raises(NotQuadraticallyConstructibleError):
         construction_order(four_cycle, (0, 1))  # stripping strands extra vertices
+
+
+def test_construction_order_matches_the_rebuilding_strip(census_by_n):
+    # every census graph of 3 to 8 vertices, relabelled, with each edge as
+    # the base: the same order, or the same error, as stripping by rebuilding
+    rng = random.Random(467)
+    pairs = orders = 0
+    for census in census_by_n.values():
+        for g in census.representatives:
+            labels = rng.sample(range(3 * g.n), g.n)
+            h = relabel(g, dict(zip(g.sorted_vertices(), labels)))
+            for base in h.sorted_edges():
+                try:
+                    expected = construction_order_by_rebuild(h, base)
+                except NotQuadraticallyConstructibleError as exc:
+                    with pytest.raises(NotQuadraticallyConstructibleError) as raised:
+                        construction_order(h, base)
+                    assert str(raised.value) == str(exc)
+                else:
+                    assert construction_order(h, base) == expected
+                    orders += 1
+                pairs += 1
+    assert pairs == 8820 and 0 < orders < pairs
 
 
 def test_unrealizable_distances():

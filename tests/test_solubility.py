@@ -20,7 +20,7 @@ from rigicert.algebra.systems import eliminate_to_x3, k33_system, square_elimina
 from rigicert.algebra.unipoly import UniPoly, factor_over_q
 from rigicert.errors import InputError
 
-from oracles import frobenius_cycle_types
+from oracles import frobenius_cycle_types, rule_prefixes_from_partitions
 from test_systems import DEG6_FACTOR, DEG8_FACTOR
 
 
@@ -224,22 +224,37 @@ def test_refutation_free_degrees():
     assert {c for c in _rule_prefixes(16) if len(c) == 1} == {(3,), (5,)}
 
 
-def test_refutation_free_degree_scans_no_prime(monkeypatch):
-    from rigicert.algebra import solubility
+def test_rule_prefixes_match_every_partition():
+    # outside degrees 6 and 8 the prefixes come from the one-cycle types
+    # alone; against `_rule_hit` on every partition, built independently
+    from rigicert.algebra.solubility import _partitions, _rule_prefixes
 
-    sweep = solubility._distinct_degree_steps
+    for n in range(1, 41):
+        assert _rule_prefixes(n) == rule_prefixes_from_partitions(n), n
+    # degree 0 (a constant) has no refuting type, and its one partition is ()
+    assert _rule_prefixes(0) == frozenset()
+    assert list(_partitions(0)) == [()]
+
+
+def test_refutation_free_degree_scans_no_prime(monkeypatch):
+    from rigicert.algebra import unipoly
+
+    sweep = unipoly._distinct_degree_steps
     swept = []
 
     def watched_sweep(f, q):
         swept.append((len(f) - 1, q))
         return sweep(f, q)
 
-    monkeypatch.setattr(solubility, "_distinct_degree_steps", watched_sweep)
+    monkeypatch.setattr(unipoly, "_distinct_degree_steps", watched_sweep)
     p = UniPoly([-1, -1, 0, 0, 0, 0, 0, 1])  # x^7 - x - 1, irreducible with group S7
     cert = nonsolubility_certificate(p, 10000)
     assert cert.verdict == SolubilityVerdict.INCONCLUSIVE
     assert cert.witness is None and cert.prime_bound == 10000
     assert cert.rules_checked == (RULE_JORDAN, RULE_BURNSIDE)
+    # factoring p sweeps its candidate primes; the sieve after it sweeps none
+    swept.clear()
+    assert _certificate(p, 10000) == cert
     assert swept == []
     # the watched sweep is the one a degree with refuting cycle types runs
     cert = _certificate(UniPoly(DEG6_FACTOR), 10000)
@@ -248,7 +263,8 @@ def test_refutation_free_degree_scans_no_prime(monkeypatch):
 
 
 def test_early_stopping_sieve_matches_full_multisets():
-    """The sieve's per-prime answer against `degree_multiset_mod` +
+    """The sieve's per-prime answer (`_good_split` with the rule prefixes)
+    against `degree_multiset_mod` +
     `_rule_hit` at every prime up to 2,000, and its first witness against
     the first prime whose full multiset meets a rule, on seeded polynomials
     of degrees 6, 8, 14 and 16.  Each degree also gets a product L*Q^2*R
@@ -256,8 +272,14 @@ def test_early_stopping_sieve_matches_full_multisets():
     squarefree.  At degree 8, with R cubic, the sweep's counts wherever Q
     and R stay irreducible are those of [1, 2, 5], which meets the table
     rule, so only the squarefree test turns that prime down."""
-    from rigicert.algebra.solubility import _rule_hit, _rule_meeting_type_mod, _rule_prefixes
-    from rigicert.algebra.unipoly import degree_multiset_mod, is_irreducible, primes_up_to
+    from rigicert.algebra.solubility import _rule_hit, _rule_prefixes
+    from rigicert.algebra.unipoly import (
+        _good_split,
+        _split_degrees,
+        degree_multiset_mod,
+        is_irreducible,
+        primes_up_to,
+    )
 
     rng = random.Random(263)
 
@@ -281,7 +303,9 @@ def test_early_stopping_sieve_matches_full_multisets():
                     continue
                 multiset = degree_multiset_mod(p, q)
                 rule = None if multiset is None else _rule_hit(multiset, n)
-                assert _rule_meeting_type_mod(p, q, prefixes) == (multiset if rule else None), (p, q)
+                split = _good_split(p, q, prefixes)
+                sieved = None if split is None else _split_degrees(split)
+                assert sieved == (multiset if rule else None), (p, q)
                 if rule is not None and first is None:
                     first = (q, multiset, rule)
             assert _certificate(p, 2000).witness == first

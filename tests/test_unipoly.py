@@ -9,13 +9,13 @@ import sympy
 from rigicert.algebra.unipoly import (
     UniPoly,
     _frobenius_mulmod,
+    _good_split,
     _pack,
     _packed_pow,
     _unpack,
     degree_multiset_mod,
     factor_over_q,
     gf_add,
-    gf_distinct_degree,
     gf_divmod,
     gf_factor_squarefree,
     gf_from_int,
@@ -152,10 +152,10 @@ def test_hensel_lift_stops_at_the_least_power_of_p_past_the_target():
     while checked < 30:
         f = random_poly(rng, max_deg=5, span=30) * random_poly(rng, max_deg=5, span=30)
         p = rng.choice([3, 5, 7, 11, 13])
-        fp = gf_from_int(f.coeffs, p)
-        if f.leading % p == 0 or not gf_is_squarefree(fp, p):
+        split = _good_split(f, p)
+        if split is None:
             continue
-        factors = gf_factor_squarefree(gf_monic(fp, p), p)
+        factors = gf_factor_squarefree(split, p)
         e = rng.randint(1, 40)  # chains such as 5, 3, 2 and 17, 9, 5, 3, 2
         target = p**e - rng.choice([0, 1, p ** (e - 1) * (p - 1) - 1])
         lifts, modulus = hensel_lift(p, target, list(f.coeffs), factors)
@@ -268,9 +268,9 @@ def test_choose_factoring_prime_matches_the_first_four_good_primes(monkeypatch):
     calls = []
     gf_factor = unipoly.gf_factor_squarefree
 
-    def counting(f, q):
+    def counting(split, q):
         calls.append(q)
-        return gf_factor(f, q)
+        return gf_factor(split, q)
 
     monkeypatch.setattr(unipoly, "gf_factor_squarefree", counting)
     rng = random.Random(271)
@@ -300,14 +300,45 @@ def test_choose_factoring_prime_matches_the_first_four_good_primes(monkeypatch):
     assert any(one_factor) and not all(one_factor)  # both exits of the scan ran
 
 
+def test_choose_factoring_prime_sweeps_each_candidate_once(monkeypatch):
+    # every good odd prime up to the end of the scan is swept once, in
+    # ascending order, the winner included: Cantor-Zassenhaus reuses the
+    # winner's split instead of sweeping again, and a bad prime is not swept
+    from rigicert.algebra import unipoly
+
+    sweep = unipoly._distinct_degree_steps
+    swept = []
+
+    def watched_sweep(f, q):
+        swept.append(q)
+        return sweep(f, q)
+
+    monkeypatch.setattr(unipoly, "_distinct_degree_steps", watched_sweep)
+    rng = random.Random(283)
+    winners = set()
+    for _ in range(40):
+        f = (random_poly(rng, max_deg=8, span=25) * random_poly(rng, max_deg=6, span=25)).normalized()
+        if f.degree < 2 or not to_sympy(f).is_sqf:
+            continue
+        swept.clear()
+        q, factors = unipoly._choose_factoring_prime(f)
+        assert q in swept
+        scanned = [r for r in primes_up_to(swept[-1])[1:] if f.leading % r]
+        good = [r for r in scanned if gf_is_squarefree(gf_from_int(f.coeffs, r), r)]
+        assert swept == good
+        winners.add((q == swept[-1], len(factors) == 1))
+    assert len(winners) >= 2  # winners both at the end of the scan and before it
+
+
 def test_gf_factor_squarefree_is_deterministic():
     rng = random.Random(277)
     checked = 0
     for q in (3, 11, 101):
         for _ in range(10):
-            f = gf_monic(gf_from_int(random_poly(rng, max_deg=12, span=q).coeffs, q), q)
-            if len(f) > 2 and gf_is_squarefree(f, q):
-                assert gf_factor_squarefree(f, q) == gf_factor_squarefree(f, q)
+            p = random_poly(rng, max_deg=12, span=q)
+            split = _good_split(p, q)
+            if p.degree > 1 and split is not None:
+                assert gf_factor_squarefree(split, q) == gf_factor_squarefree(_good_split(p, q), q)
                 checked += 1
     assert checked >= 10
 
@@ -388,9 +419,11 @@ def test_gf_factor_squarefree_products():
             if len(fq) < 2:
                 continue
             fq = gf_monic(fq, q)
-            if not gf_is_squarefree(fq, q):
+            split = _good_split(UniPoly(fq), q)
+            if split is None:
+                assert not gf_is_squarefree(fq, q)
                 continue
-            factors = gf_factor_squarefree(fq, q)
+            factors = gf_factor_squarefree(split, q)
             prod = [1]
             from rigicert.algebra.unipoly import gf_mul
 
@@ -442,9 +475,11 @@ def test_gf_divmod_identity():
     assert gf_divmod([4, 0, 3], [2], 5) == ([2, 0, 4], [])
 
 
-def test_gf_distinct_degree_against_sympy():
+def test_good_split_against_sympy():
+    # the distinct-degree split of a good prime against sympy's, and None
+    # exactly where sympy finds the reduction not squarefree or q divides lc
     from sympy.polys.domains import ZZ
-    from sympy.polys.galoistools import gf_ddf_zassenhaus
+    from sympy.polys.galoistools import gf_ddf_zassenhaus, gf_sqf_p
 
     rng = random.Random(241)
     for q in (2, 3, 5, 23, 9973):
@@ -452,18 +487,30 @@ def test_gf_distinct_degree_against_sympy():
         for n in range(1, 25):
             for _ in range(3):
                 f = [rng.randrange(q) for _ in range(n)] + [1]
-                if not gf_is_squarefree(f, q):
+                split = _good_split(UniPoly(f), q)
+                if not gf_sqf_p(list(reversed(f)), q, ZZ):
+                    assert split is None and not gf_is_squarefree(f, q)
                     continue
                 theirs = gf_ddf_zassenhaus(list(reversed(f)), q, ZZ)
-                assert gf_distinct_degree(f, q) == [(list(reversed(g)), d) for g, d in theirs]
+                assert split == [(list(reversed(g)), d) for g, d in theirs]
                 checked += 1
         assert checked >= 24
+        # a leading coefficient that q divides makes q bad, whatever below it
+        p = UniPoly([rng.randrange(1, 100) for _ in range(4)] + [q * rng.randrange(1, 9)])
+        assert _good_split(p, q) is None
+        # p times a unit mod q, plus multiples of q, has the same split
+        p = UniPoly([rng.randrange(q) for _ in range(6)] + [1])
+        lead = rng.randrange(1, q)
+        scaled = UniPoly([c * lead + q * rng.randrange(-5, 6) for c in p.coeffs])
+        assert _good_split(scaled, q) == _good_split(p, q)
 
 
-def test_gf_distinct_degree_modulus_limit():
+def test_good_split_modulus_limit():
     # packed slots hold sums below deg * q^2, which must stay below 2^63
     with pytest.raises(InputError, match="2\\^63"):
-        gf_distinct_degree([1, 0, 0, 0, 1], 2**31 - 1)
+        _good_split(UniPoly([1, 0, 0, 0, 1]), 2**31 - 1)
+    with pytest.raises(InputError, match="2\\^63"):
+        degree_multiset_mod(UniPoly([1, 0, 0, 0, 1]), 2**31 - 1)
 
 
 def test_primes_up_to():
