@@ -7,6 +7,7 @@ it stays exact.
 
 from __future__ import annotations
 
+import heapq
 import math
 from typing import Mapping
 
@@ -31,24 +32,33 @@ def construction_order(graph: Graph, base: Edge) -> list[tuple[int, int, int]]:
     unique up to interleaving, so greedy stripping is complete.
 
     The strip keeps one degree table over the remaining vertices and always
-    takes the smallest-label non-base vertex of degree 2.  It can only end on
-    the base edge: the base vertices are never stripped, and they are joined.
+    takes the smallest-label non-base vertex of degree 2, from a heap of the
+    vertices that reached degree 2; degrees only fall, so an entry whose
+    vertex has left the table or fallen below 2 is stale and skipped.  It can
+    only end on the base edge: the base vertices are never stripped, and
+    they are joined.
     """
     base = edge(*base)
     if base not in graph.edges:
         raise InputError(f"base {base} is not an edge of the graph")
     degree = {v: graph.degree(v) for v in graph.vertices}
+    ready = [v for v, k in degree.items() if k == 2 and v not in base]
+    heapq.heapify(ready)
     stripped: list[tuple[int, int, int]] = []
     while len(degree) > 2:
-        candidate = min((v for v, k in degree.items() if k == 2 and v not in base), default=None)
-        if candidate is None:
+        while ready and degree.get(ready[0]) != 2:
+            heapq.heappop(ready)
+        if not ready:
             raise NotQuadraticallyConstructibleError(
                 "no degree-2 vertex left to strip; the graph is not a triangular quadratic chain"
             )
+        candidate = heapq.heappop(ready)
         del degree[candidate]
         a, b = sorted(u for u in graph.neighbors(candidate) if u in degree)
-        degree[a] -= 1
-        degree[b] -= 1
+        for u in (a, b):
+            degree[u] -= 1
+            if degree[u] == 2 and u not in base:
+                heapq.heappush(ready, u)
         stripped.append((candidate, a, b))
     return list(reversed(stripped))
 

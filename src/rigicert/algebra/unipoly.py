@@ -17,12 +17,19 @@ The distinct-degree step over GF(q) follows von zur Gathen & Shoup: x^q mod f
 is computed once, and each degree then costs one vector-matrix product
 h -> h(x^q) with the Frobenius matrix, whose rows are x^(iq) mod f, instead of
 a modular q-th power.  The rows past x^q are built only when degree 2 is
-reached, so a caller that stops after degree 1 pays for x^q alone.  That
-kernel packs each coefficient vector into 64-bit slots of one Python int
-(Kronecker substitution), so products and sums run in C big-int arithmetic.
-A slot sums at most deg f products of two residues, so the kernel requires
-deg f * q^2 < 2^63 and raises InputError beyond it.  Cantor-Zassenhaus raises
-to its power (q^d - 1)/2 on the same packed products (`_packed_pow`).
+reached, so a caller that stops after degree 1 pays for x^q alone.  Every
+GF(q) polynomial of that kernel, from x^q through the Frobenius rows, the
+Euclid steps and Cantor-Zassenhaus, is one Python int of W-bit slots
+(Kronecker substitution, `_Slots`), so sums and products run in C big-int
+arithmetic.  W is chosen per (deg f, q): a slot sums at most deg f products
+of two residues, so it stays below V = deg f * q^2, and one packed reduction
+by a multiplied inverse (Granlund & Montgomery) takes every slot mod q in
+four big-int operations.  A reduced int gives its degree by `bit_length` and
+its coefficients by one `struct` unpack, with no `% q` per coefficient.  x^q
+takes squarings alone, a set bit of q being a one-slot shift of the square,
+and each product is brought below deg f by polynomial Barrett reduction
+(`_Ring`).  The kernel's contract is deg f * q^2 < 2^63; it raises InputError
+beyond it.  `gf_divmod` on lists stays for Hensel lifting mod p^k.
 
 Integer arithmetic comes from the one dense kernel in `multipoly` (`_strip`,
 `_add`, `_neg`, `_sub`, `_mul`, `_pow`, `_exact_quotient`): `UniPoly` calls it
@@ -235,8 +242,9 @@ def gf_mul(a: list[int], b: list[int], q: int) -> list[int]:
 
 
 def gf_divmod(a: list[int], b: list[int], q: int) -> tuple[list[int], list[int]]:
-    """(quotient, remainder), reducing mod q only the coefficient that becomes
-    the next leading term, then the remainder once at the end."""
+    """(quotient, remainder) for any modulus q where lc(b) is a unit, as
+    Hensel lifting needs mod p^k, reducing mod q only the coefficient that
+    becomes the next leading term, then the remainder once at the end."""
     if not b:
         raise InputError("gf division by zero")
     inv = pow(b[-1], -1, q)
@@ -254,10 +262,6 @@ def gf_divmod(a: list[int], b: list[int], q: int) -> tuple[list[int], list[int]]
     return _strip(quo), gf_from_int(rem[:db], q)
 
 
-def gf_rem(a: list[int], b: list[int], q: int) -> list[int]:
-    return gf_divmod(a, b, q)[1]
-
-
 def gf_monic(f: list[int], q: int) -> list[int]:
     if not f:
         return []
@@ -265,88 +269,190 @@ def gf_monic(f: list[int], q: int) -> list[int]:
     return _strip([(c * inv) % q for c in f])
 
 
-def gf_gcd(a: list[int], b: list[int], q: int) -> list[int]:
-    while b:
-        a, b = b, gf_rem(a, b, q)
-    return gf_monic(a, q)
-
-
-def gf_extended_euclid(a: list[int], b: list[int], q: int) -> tuple[list[int], list[int], list[int]]:
-    """(g, s, t) with s*a + t*b = g = monic gcd."""
-    r0, r1 = list(a), list(b)
-    s0, s1 = [1], []
-    t0, t1 = [], [1]
-    while r1:
-        quo, rem = gf_divmod(r0, r1, q)
-        r0, r1 = r1, rem
-        s0, s1 = s1, gf_sub(s0, gf_mul(quo, s1, q), q)
-        t0, t1 = t1, gf_sub(t0, gf_mul(quo, t1, q), q)
-    if not r0:
-        raise InputError("extended euclid of two zero polynomials")
-    inv = [pow(r0[-1], -1, q)]
-    return gf_mul(r0, inv, q), gf_mul(s0, inv, q), gf_mul(t0, inv, q)
-
-
 def gf_derivative(f: list[int], q: int) -> list[int]:
     return _strip([(i * c) % q for i, c in enumerate(f)][1:])
 
 
-def gf_is_squarefree(f: list[int], q: int) -> bool:
-    """Whether f has no repeated factor over GF(q): gcd(f, f') = 1."""
-    return len(gf_gcd(f, gf_derivative(f, q), q)) == 1
+# ---------------------------------------------------------------------------
+# the packed GF(q)[x] kernel: one int per polynomial, q prime
 
 
-#: Each packed coefficient of the Frobenius kernel is one unsigned 64-bit slot.
+#: The kernel's contract: a slot holds at most deg f products of two residues
+#: plus one residue, below deg f * q^2, and that bound must stay below 2^63.
 _SLOT_LIMIT = 1 << 63
 
 
-def _pack(v: Sequence[int]) -> int:
-    """Kronecker packing: coefficient i goes into 64-bit slot i of one int."""
-    return int.from_bytes(struct.pack(f"<{len(v)}Q", *v), "little")
+class _Slots:
+    """GF(q)[x] polynomials of degree at most n, q prime, each packed into
+    one int: coefficient i in W-bit slot i (Kronecker substitution), so sums
+    and products run in C big-int arithmetic.
 
-
-def _unpack(x: int, slots: int, q: int) -> list[int]:
-    """The first `slots` packed coefficients, each reduced mod q."""
-    return [c % q for c in struct.unpack(f"<{slots}Q", x.to_bytes(8 * slots, "little"))]
-
-
-def _frobenius_mulmod(f: list[int], q: int):
-    """Product mod f of two packed residues, for monic f of degree n >= 2.
-
-    Products run on packed ints, reduced with a packed table of x^k mod f
-    for k = n..2n-2.  A slot sums at most n products of two coefficients
-    below q, so it stays below n*q^2 < 2^63 (checked by the caller).
+    Every slot the kernel makes stays below V = n * q^2 (the contract), and
+    `reduce` brings all of them into [0, q) at once by a multiplied inverse
+    (Granlund & Montgomery, PLDI 1994): with 2^k > (V - 1)(q - 1) and
+    m = ceil(2^k / q), floor(x * m / 2^k) = floor(x / q) for 0 <= x < V,
+    and W is the least multiple of 32 above the bits of (V - 1) * m, so the
+    slots of x * m do not overlap.  The quotients then lie in the bits k..W-1
+    of each slot of x * m, and x - q * (((x * m) >> k) & MASK) leaves every
+    slot reduced, without a borrow.  A reduced int gives its degree by
+    `bit_length`, and its coefficients by one `struct` unpack of 32-bit
+    words (q < 2^32 under the contract).
     """
-    n = len(f) - 1
-    top = [(-c) % q for c in f[:-1]]  # x^n mod f
-    table = []
-    r = top
-    for _ in range(n - 1):
-        table.append(_pack(r))
-        lead = r[-1]
-        r = [0] + r[:-1]
-        if lead:
-            r = [(c + lead * t) % q for c, t in zip(r, top)]
 
-    def mulmod(a: int, b: int) -> int:
-        c = _unpack(a * b, 2 * n - 1, q)
-        acc = _pack(c[:n]) + sum(map(operator.mul, c[n:], table))
-        return _pack(_unpack(acc, n, q))
+    __slots__ = ("q", "width", "words", "magic", "shift", "field", "qs", "masks")
 
-    return mulmod
+    def __init__(self, n: int, q: int):
+        if n * q * q >= _SLOT_LIMIT:
+            raise InputError(
+                f"GF({q}) kernel needs deg * q^2 < 2^63; degree {n} at modulus {q} exceeds it"
+            )
+        n = max(n, 1)
+        bound = n * q * q
+        shift = ((bound - 1) * (q - 1)).bit_length()
+        magic = -(-(1 << shift) // q)
+        width = -(-((bound - 1) * magic).bit_length() // 32) * 32
+        size = width // 8
+        self.q, self.width, self.words, self.magic, self.shift = q, width, width // 32, magic, shift
+        # the quotient field of each of the 2n slots a product can fill
+        self.field = int.from_bytes(((1 << (width - shift)) - 1).to_bytes(size, "little") * 2 * n, "little")
+        self.qs = int.from_bytes(q.to_bytes(size, "little") * (n + 1), "little")  # q in slots 0..n
+        self.masks = [(1 << (i * width)) - 1 for i in range(2 * n)]  # the slots below i
+
+    def pack(self, coeffs: Sequence[int]) -> int:
+        """The packed int of a coefficient list with entries in [0, q)."""
+        if self.words > 1:
+            spread = [0] * (len(coeffs) * self.words)
+            spread[:: self.words] = coeffs
+            coeffs = spread
+        return int.from_bytes(struct.pack(f"<{len(coeffs)}I", *coeffs), "little")
+
+    def unpack(self, x: int, count: int) -> tuple[int, ...]:
+        """The first `count` coefficients of a reduced x below x^count."""
+        words = self.words
+        return struct.unpack(f"<{count * words}I", x.to_bytes(count * 4 * words, "little"))[::words]
+
+    def to_list(self, x: int) -> list[int]:
+        """The stripped coefficient list of a reduced x."""
+        return list(self.unpack(x, self.degree(x) + 1))
+
+    def reduce(self, x: int) -> int:
+        """x with every slot taken mod q; each slot below V on entry."""
+        return x - self.q * (((x * self.magic) >> self.shift) & self.field)
+
+    def degree(self, x: int) -> int:
+        """The degree of a reduced x, -1 for zero."""
+        return (x.bit_length() - 1) // self.width
+
+    def lead(self, x: int) -> int:
+        return x >> (self.degree(x) * self.width)
+
+    def sub(self, a: int, b: int) -> int:
+        return self.reduce(a + self.qs - b)
+
+    def monic(self, x: int) -> int:
+        return self.reduce(x * pow(self.lead(x), -1, self.q)) if x else 0
+
+    def divmod(self, a: int, b: int) -> tuple[int, int]:
+        """(quotient, remainder) of reduced a by reduced b != 0, the one
+        GF(q) Euclid: each quotient term t cancels the leading slot c by
+        adding (q - t) * b, shifted under it, and masks that slot off; the
+        remainder is reduced once at the end."""
+        q, width, masks = self.q, self.width, self.masks
+        db = (b.bit_length() - 1) // width
+        if db < 0:
+            raise InputError("gf division by zero")
+        inv = pow(b >> (db * width), -1, q)
+        quo = 0
+        da = (a.bit_length() - 1) // width
+        shift = (da - db) * width
+        while shift >= 0:
+            c = (a >> (da * width)) % q
+            if c:
+                t = c * inv % q
+                quo |= t << shift
+                a += (q - t) * b << shift
+            a &= masks[da]
+            da -= 1
+            shift -= width
+        return quo, self.reduce(a)
+
+    def gcd(self, a: int, b: int) -> int:
+        """The monic gcd of reduced a and b (zero for two zeros)."""
+        while b:
+            a, b = b, self.divmod(a, b)[1]
+        return self.monic(a)
 
 
-def _packed_pow(mulmod, a: int, e: int) -> int:
-    """a^e for a packed residue a, by left-to-right square-and-multiply with
-    a `_frobenius_mulmod` product; the packed 1 (the int 1) at e = 0."""
-    if e == 0:
-        return 1
-    r = a
-    for bit in bin(e)[3:]:
-        r = mulmod(r, r)
-        if bit == "1":
-            r = mulmod(r, a)
-    return r
+class _Ring:
+    """GF(q)[x]/(f) on packed residues of degree below n = deg f >= 1, f monic.
+
+    A product r, of degree below 2n, is reduced slotwise and then mod f by
+    polynomial Barrett reduction, which is exact over a field: with
+    mu = floor(x^(2n-1) / f), the quotient floor(r / f) is
+    floor(floor(r / x^n) * mu / x^(n-1)), and r mod f keeps the low n slots
+    of r + quotient * (x^n mod f)."""
+
+    __slots__ = ("slots", "n", "top", "mu")
+
+    def __init__(self, slots: _Slots, f: int):
+        n = slots.degree(f)
+        self.slots, self.n = slots, n
+        self.top = slots.sub(0, f & slots.masks[n])  # x^n mod f = -(f - x^n)
+        self.mu = slots.divmod(1 << ((2 * n - 1) * slots.width), f)[0]
+
+    def _fold(self, r: int) -> int:
+        """r mod f for a reduced r of degree below 2n."""
+        slots, n, width = self.slots, self.n, self.slots.width
+        quo = slots.reduce((r >> (n * width)) * self.mu) >> ((n - 1) * width)
+        return slots.reduce((r + quo * self.top) & slots.masks[n])
+
+    def mulmod(self, a: int, b: int) -> int:
+        return self._fold(self.slots.reduce(a * b))
+
+    def power(self, a: int, e: int) -> int:
+        """a^e by left-to-right square-and-multiply; the packed 1 at e = 0."""
+        if e == 0:
+            return 1
+        r = a
+        for bit in bin(e)[3:]:
+            r = self.mulmod(r, r)
+            if bit == "1":
+                r = self.mulmod(r, a)
+        return r
+
+    def x_power(self, e: int) -> int:
+        """x^e by squarings alone: from x^j, j the longest prefix of e's bits
+        below n, each further bit squares, and a set bit shifts the square
+        up one slot (times x) before the one fold."""
+        width, rest = self.slots.width, 0
+        while e >> rest >= self.n:
+            rest += 1
+        r = 1 << ((e >> rest) * width)
+        for i in range(rest - 1, -1, -1):
+            r = self._fold(self.slots.reduce(r * r << ((e >> i) & 1) * width))
+        return r
+
+
+def gf_extended_euclid(a: list[int], b: list[int], q: int) -> tuple[list[int], list[int], list[int]]:
+    """(g, s, t) with s*a + t*b = g = monic gcd, q prime, on packed slots."""
+    slots = _Slots(max(len(a), len(b)) - 1, q)
+    r0, r1 = slots.pack(a), slots.pack(b)
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while r1:
+        quo, rem = slots.divmod(r0, r1)
+        r0, r1 = r1, rem
+        s0, s1 = s1, slots.sub(s0, slots.reduce(quo * s1))
+        t0, t1 = t1, slots.sub(t0, slots.reduce(quo * t1))
+    if not r0:
+        raise InputError("extended euclid of two zero polynomials")
+    inv = pow(slots.lead(r0), -1, q)
+    return tuple(slots.to_list(slots.reduce(x * inv)) for x in (r0, s0, t0))
+
+
+def gf_is_squarefree(f: list[int], q: int) -> bool:
+    """Whether f has no repeated factor over GF(q): gcd(f, f') = 1."""
+    slots = _Slots(len(f) - 1, q)
+    return slots.gcd(slots.pack(f), slots.pack(gf_derivative(f, q))) == 1
 
 
 def _distinct_degree_steps(f: list[int], q: int) -> Iterator[tuple[list[int], int]]:
@@ -356,67 +462,61 @@ def _distinct_degree_steps(f: list[int], q: int) -> Iterator[tuple[list[int], in
     and the last pair is (work, m).  The pairs with g != [1] are the
     distinct-degree split.
 
-    h runs through x^(q^d) mod f.  x^q comes from `_packed_pow`; the
-    other rows x^(iq) mod f of the Frobenius matrix, the matrix of
-    h -> h^q = h(x^q) on GF(q)[x]/(f), are built only when degree 2 is asked
-    for, so a caller that stops after degree 1 pays for x^q alone.  Each
-    later degree is one product of h with the matrix.  h stays reduced mod f,
-    not mod the shrinking cofactor: work divides f, so gcd(h - x, work) is
-    the same.  On a non-squarefree f the pairs mean nothing, but the steps
-    still end.  Raises InputError unless deg f * q^2 < 2^63 (packed slots).
+    Every polynomial stays one packed int of `_Slots` (W-bit slots, reduced
+    mod q by the packed reduction) from x^q through the Frobenius rows and
+    the Euclid steps; lists appear only in the pairs.  h runs through
+    x^(q^d) mod f.  x^q takes squarings alone (`_Ring.x_power`); the other
+    rows x^(iq) mod f of the Frobenius matrix, the matrix of h -> h^q =
+    h(x^q) on GF(q)[x]/(f), are built only when degree 2 is asked for, so a
+    caller that stops after degree 1 pays for x^q alone.  Each later degree
+    is one product of h with the matrix.  h stays reduced mod f, not mod the
+    shrinking cofactor: work divides f, so gcd(h - x, work) is the same.  On
+    a non-squarefree f the pairs mean nothing, but the steps still end.
+    Raises InputError unless deg f * q^2 < 2^63 (the kernel's contract).
     """
     n = len(f) - 1
-    if n * q * q >= _SLOT_LIMIT:
-        raise InputError(
-            f"GF({q}) kernel needs deg * q^2 < 2^63; degree {n} at modulus {q} exceeds it"
-        )
-    work = list(f)
-    d = 0
-    while len(work) > 1:
+    slots = _Slots(n, q)
+    work, m, d = slots.pack(f), n, 0
+    while m > 0:
         d += 1
-        if 2 * d > len(work) - 1:
-            yield work, len(work) - 1
+        if 2 * d > m:
+            yield slots.to_list(work), m
             return
         if d == 1:
-            mulmod = _frobenius_mulmod(f, q)
-            xq = _packed_pow(mulmod, _pack([0, 1]), q)
-            h = _unpack(xq, n, q)
+            ring = _Ring(slots, work)
+            h = ring.x_power(q)
         else:
             if d == 2:
-                rows = [_pack([1] + [0] * (n - 1)), xq]
+                rows = [1, h]
                 while len(rows) < n:
-                    rows.append(mulmod(rows[-1], xq))
-            h = _unpack(sum(map(operator.mul, h, rows)), n, q)
-        g = gf_gcd(gf_sub(h, [0, 1], q), work, q)
-        if len(g) > 1:
-            work, _ = gf_divmod(work, g, q)
-        yield g, d
+                    rows.append(ring.mulmod(rows[-1], h))
+            h = slots.reduce(sum(map(operator.mul, slots.unpack(h, n), rows)))
+        g = slots.gcd(slots.sub(h, 1 << slots.width), work)  # gcd(h - x, work)
+        if g != 1:
+            work = slots.divmod(work, g)[0]
+            m = slots.degree(work)
+        yield slots.to_list(g), d
 
 
-def gf_equal_degree_split(f: list[int], d: int, q: int, rng: random.Random) -> list[list[int]]:
-    """Cantor-Zassenhaus split of a monic product of degree-d irreducibles, odd q.
-
-    a^((q^d - 1)/2) mod f runs on the packed kernel of `_distinct_degree_steps`,
-    whose slot bound deg f * q^2 < 2^63 the caller's f already met.
-    """
-    n = len(f) - 1
+def _equal_degree_split(slots: _Slots, f: int, d: int, rng: random.Random) -> list[int]:
+    """Cantor-Zassenhaus split of a packed monic product of degree-d
+    irreducibles, odd q: a^((q^d - 1)/2) mod f on the packed ring."""
+    q, n = slots.q, slots.degree(f)
     if n == d:
         return [f]
-    mulmod = _frobenius_mulmod(f, q)
+    ring = _Ring(slots, f)
     while True:
-        a = _strip([rng.randrange(q) for _ in range(n)])
-        if len(a) - 1 < 1:
+        a = slots.pack([rng.randrange(q) for _ in range(n)])
+        if slots.degree(a) < 1:
             continue
-        g = gf_gcd(a, f, q)
-        if 0 < len(g) - 1 < n:
-            h = g
-        else:
-            b = _unpack(_packed_pow(mulmod, _pack(a), (q**d - 1) // 2), n, q)
-            h = gf_gcd(gf_sub(b, [1], q), f, q)
-            if not (0 < len(h) - 1 < n):
+        h = slots.gcd(a, f)
+        if not 0 < slots.degree(h) < n:
+            b = ring.power(a, (q**d - 1) // 2)
+            h = slots.gcd(slots.sub(b, 1), f)
+            if not 0 < slots.degree(h) < n:
                 continue
-        other, _ = gf_divmod(f, h, q)
-        return gf_equal_degree_split(h, d, q, rng) + gf_equal_degree_split(other, d, q, rng)
+        other = slots.divmod(f, h)[0]
+        return _equal_degree_split(slots, h, d, rng) + _equal_degree_split(slots, other, d, rng)
 
 
 def gf_factor_squarefree(split: list[tuple[list[int], int]], q: int) -> list[list[int]]:
@@ -426,9 +526,8 @@ def gf_factor_squarefree(split: list[tuple[list[int], int]], q: int) -> list[lis
     The equal-degree splits draw from `random.Random(q)`; the sorted output
     does not depend on the draws."""
     rng = random.Random(q)
-    out: list[list[int]] = []
-    for prod, d in split:
-        out.extend(gf_equal_degree_split(prod, d, q, rng))
+    slots = _Slots(max((len(g) - 1 for g, _ in split), default=0), q)
+    out = [slots.to_list(h) for g, d in split for h in _equal_degree_split(slots, slots.pack(g), d, rng)]
     out.sort()
     return out
 
@@ -641,4 +740,4 @@ def primes_up_to(bound: int) -> list[int]:
     for i in range(2, math.isqrt(bound) + 1):
         if sieve[i]:
             sieve[i * i :: i] = b"\x00" * len(sieve[i * i :: i])
-    return [i for i, flag in enumerate(sieve) if flag]
+    return list(itertools.compress(range(bound + 1), sieve))

@@ -10,7 +10,8 @@ resultant's subresultant sequence over Fraction-valued polynomials, the
 integer gcd by a primitive polynomial remainder sequence, powers in
 GF(q)[x]/(f) on coefficient lists, the sieve's rule prefixes from every
 partition of n, the construction order by rebuilding the graph per stripped
-vertex).
+vertex or by scanning every remaining vertex per step, the GF(q) gcd and the
+distinct-degree steps by long division on coefficient lists).
 None of them is used by the package itself.
 """
 
@@ -22,7 +23,7 @@ from fractions import Fraction
 
 from rigicert.algebra.multipoly import MultiPoly
 from rigicert.algebra.solubility import _rule_hit
-from rigicert.algebra.unipoly import UniPoly, degree_multiset_mod, gf_mul, gf_rem, primes_up_to
+from rigicert.algebra.unipoly import UniPoly, degree_multiset_mod, gf_divmod, gf_monic, gf_mul, gf_sub, primes_up_to
 from rigicert.errors import (
     DegenerateInputError,
     InputError,
@@ -493,6 +494,10 @@ def poly_gcd_prs(a: UniPoly, b: UniPoly) -> UniPoly:
     return gcd_part.scale(cont)
 
 
+def gf_rem(a: list[int], b: list[int], q: int) -> list[int]:
+    return gf_divmod(a, b, q)[1]
+
+
 def gf_pow_mod(base: list[int], exp: int, f: list[int], q: int) -> list[int]:
     result = [1]
     base = gf_rem(base, f, q)
@@ -502,6 +507,30 @@ def gf_pow_mod(base: list[int], exp: int, f: list[int], q: int) -> list[int]:
         base = gf_rem(gf_mul(base, base, q), f, q)
         exp >>= 1
     return result
+
+
+def gf_gcd_by_lists(a: list[int], b: list[int], q: int) -> list[int]:
+    """The monic gcd over GF(q) by Euclid's long division on coefficient lists."""
+    while b:
+        a, b = b, gf_rem(a, b, q)
+    return gf_monic(a, q)
+
+
+def distinct_degree_steps_by_lists(f: list[int], q: int) -> list[tuple[list[int], int]]:
+    """`unipoly._distinct_degree_steps` on coefficient lists: x^(q^d) mod f
+    by square-and-multiply, then one list gcd and one list division."""
+    work, h, d, steps = list(f), [0, 1], 0, []
+    while len(work) > 1:
+        d += 1
+        if 2 * d > len(work) - 1:
+            steps.append((work, len(work) - 1))
+            break
+        h = gf_pow_mod(h, q, f, q)
+        g = gf_gcd_by_lists(gf_sub(h, [0, 1], q), work, q)
+        if len(g) > 1:
+            work = gf_divmod(work, g, q)[0]
+        steps.append((g, d))
+    return steps
 
 
 def poly_is_not_squarefree(p: UniPoly) -> bool:
@@ -568,4 +597,26 @@ def construction_order_by_rebuild(graph: Graph, base: Edge) -> list[tuple[int, i
         raise NotQuadraticallyConstructibleError(
             "stripping did not end on the base edge; distances do not form a quadratic chain"
         )
+    return list(reversed(stripped))
+
+
+def construction_order_by_scan(graph: Graph, base: Edge) -> list[tuple[int, int, int]]:
+    """`construction_order` on one degree table, scanning every remaining
+    vertex for the smallest-label non-base one of degree 2 at each step."""
+    base = edge(*base)
+    if base not in graph.edges:
+        raise InputError(f"base {base} is not an edge of the graph")
+    degree = {v: graph.degree(v) for v in graph.vertices}
+    stripped: list[tuple[int, int, int]] = []
+    while len(degree) > 2:
+        candidate = min((v for v, k in degree.items() if k == 2 and v not in base), default=None)
+        if candidate is None:
+            raise NotQuadraticallyConstructibleError(
+                "no degree-2 vertex left to strip; the graph is not a triangular quadratic chain"
+            )
+        del degree[candidate]
+        a, b = sorted(u for u in graph.neighbors(candidate) if u in degree)
+        degree[a] -= 1
+        degree[b] -= 1
+        stripped.append((candidate, a, b))
     return list(reversed(stripped))

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -19,7 +20,7 @@ from rigicert.graph import Graph, edge
 from rigicert.rigidity import is_laman
 
 from conftest import k4_minus_edge, k33, relabel, triangle
-from oracles import construction_order_by_rebuild
+from oracles import construction_order_by_rebuild, construction_order_by_scan
 
 
 def planted_henneberg_one(rng: random.Random, n: int):
@@ -93,27 +94,63 @@ def test_construction_order_errors():
         construction_order(four_cycle, (0, 1))  # stripping strands extra vertices
 
 
-def test_construction_order_matches_the_rebuilding_strip(census_by_n):
-    # every census graph of 3 to 8 vertices, relabelled, with each edge as
-    # the base: the same order, or the same error, as stripping by rebuilding
+def relabelled_census_pairs(census_by_n):
+    """Every census graph of 3 to 8 vertices, relabelled, with each edge as
+    the base: 8,820 (graph, base) pairs."""
     rng = random.Random(467)
-    pairs = orders = 0
     for census in census_by_n.values():
         for g in census.representatives:
             labels = rng.sample(range(3 * g.n), g.n)
             h = relabel(g, dict(zip(g.sorted_vertices(), labels)))
             for base in h.sorted_edges():
-                try:
-                    expected = construction_order_by_rebuild(h, base)
-                except NotQuadraticallyConstructibleError as exc:
-                    with pytest.raises(NotQuadraticallyConstructibleError) as raised:
-                        construction_order(h, base)
-                    assert str(raised.value) == str(exc)
-                else:
-                    assert construction_order(h, base) == expected
-                    orders += 1
-                pairs += 1
-    assert pairs == 8820 and 0 < orders < pairs
+                yield h, base
+
+
+def assert_same_order_or_error(oracle, h, base) -> bool:
+    """Whether the strip succeeded, after checking that `construction_order`
+    gives the oracle's order, or raises the oracle's error."""
+    try:
+        expected = oracle(h, base)
+    except NotQuadraticallyConstructibleError as exc:
+        with pytest.raises(NotQuadraticallyConstructibleError) as raised:
+            construction_order(h, base)
+        assert str(raised.value) == str(exc)
+        return False
+    assert construction_order(h, base) == expected
+    return True
+
+
+def test_construction_order_matches_the_rebuilding_strip(census_by_n):
+    # the same order, or the same error, as stripping by rebuilding
+    outcomes = [assert_same_order_or_error(construction_order_by_rebuild, h, base) for h, base in relabelled_census_pairs(census_by_n)]
+    assert len(outcomes) == 8820 and 0 < sum(outcomes) < len(outcomes)
+
+
+def test_construction_order_matches_the_degree_scan(census_by_n):
+    # the heap of degree-2 vertices strips in the order of a full scan of
+    # the degree table per step, on the census pairs, on random graphs that
+    # need not be Laman (a waiting vertex can fall to degree 1 there), and on
+    # large random Henneberg-I graphs, whose strips keep many vertices waiting
+    outcomes = [assert_same_order_or_error(construction_order_by_scan, h, base) for h, base in relabelled_census_pairs(census_by_n)]
+    assert len(outcomes) == 8820 and 0 < sum(outcomes) < len(outcomes)
+    rng = random.Random(479)
+    outcomes = []
+    for _ in range(400):
+        n = rng.randint(3, 12)
+        pairs = list(itertools.combinations(range(n), 2))
+        g = Graph(range(n), rng.sample(pairs, rng.randint(1, min(len(pairs), 2 * n))))
+        outcomes.append(assert_same_order_or_error(construction_order_by_scan, g, rng.choice(g.sorted_edges())))
+    assert 0 < sum(outcomes) < len(outcomes)
+    for n in (50, 400, 1500):
+        edges = [(0, 1)]
+        for w in range(2, n):
+            u, v = rng.sample(sorted({x for e in edges[-8:] for x in e} | {rng.randrange(w)}), 2)
+            edges += [(u, w), (v, w)]
+        labels = rng.sample(range(5 * n), n)
+        g = relabel(Graph(range(n), edges), dict(zip(range(n), labels)))
+        for base in rng.sample(g.sorted_edges(), 3) + [edge(labels[0], labels[1])]:
+            assert_same_order_or_error(construction_order_by_scan, g, base)
+        assert len(construction_order(g, edge(labels[0], labels[1]))) == n - 2
 
 
 def test_unrealizable_distances():

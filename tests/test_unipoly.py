@@ -8,15 +8,15 @@ import sympy
 
 from rigicert.algebra.unipoly import (
     UniPoly,
-    _frobenius_mulmod,
+    _distinct_degree_steps,
     _good_split,
-    _pack,
-    _packed_pow,
-    _unpack,
+    _Ring,
+    _Slots,
     degree_multiset_mod,
     factor_over_q,
     gf_add,
     gf_divmod,
+    gf_extended_euclid,
     gf_factor_squarefree,
     gf_from_int,
     gf_is_squarefree,
@@ -31,7 +31,7 @@ from rigicert.algebra.unipoly import (
 )
 from rigicert.errors import InputError
 
-from oracles import gf_pow_mod, poly_gcd_prs
+from oracles import distinct_degree_steps_by_lists, gf_gcd_by_lists, gf_pow_mod, poly_gcd_prs
 
 
 def random_poly(rng, max_deg=8, span=20):
@@ -434,24 +434,117 @@ def test_gf_factor_squarefree_products():
             assert factors == sorted(list(reversed(g)) for g in theirs)
 
 
+#: The largest prime q with 20 * q^2 < 2^63: the kernel's edge at degree 20.
+EDGE_PRIME = next(c for c in range(math.isqrt((2**63 - 1) // 20), 0, -1) if is_prime(c))
+
+#: The moduli of the kernel's differential tests, from GF(2) to the edge.
+KERNEL_PRIMES = (2, 3, 9973, 999983, EDGE_PRIME)
+
+
+def packed_ring(f: list[int], q: int) -> tuple[_Slots, _Ring]:
+    slots = _Slots(len(f) - 1, q)
+    return slots, _Ring(slots, slots.pack(f))
+
+
 def test_packed_pow_against_list_powers():
     # the x^q of the sieve and the Cantor-Zassenhaus powers a^((q^d - 1)/2),
     # on packed slots, against square-and-multiply on coefficient lists; the
     # last prime is the largest with 20 * q^2 < 2^63
     rng = random.Random(263)
-    edge = next(c for c in range(math.isqrt((2**63 - 1) // 20), 0, -1) if is_prime(c))
-    for q in (2, 3, 5, 101, 9973, edge):
+    for q in (2, 3, 5, 101, 9973, EDGE_PRIME):
         for n in rng.sample(range(2, 21), 5):
             assert n * q * q < 2**63
             f = [rng.randrange(q) for _ in range(n)] + [1]
-            mulmod = _frobenius_mulmod(f, q)
+            slots, ring = packed_ring(f, q)
             a = [rng.randrange(q) for _ in range(n)]
             d = rng.randint(1, n // 2)
             for e in (0, 1, 2, q, (q**d - 1) // 2, rng.randrange(q**d), rng.randrange(q * n)):
-                packed = _unpack(_packed_pow(mulmod, _pack(a), e), n, q)
-                assert gf_from_int(packed, q) == gf_pow_mod(gf_from_int(a, q), e, f, q)
+                packed = slots.to_list(ring.power(slots.pack(a), e))
+                assert packed == gf_pow_mod(gf_from_int(a, q), e, f, q)
     # q = 2, d = 1 gives the exponent 0, and x^0 is 1
-    assert _packed_pow(_frobenius_mulmod([1, 1, 1], 2), _pack([0, 1]), (2**1 - 1) // 2) == 1
+    slots, ring = packed_ring([1, 1, 1], 2)
+    assert ring.power(slots.pack([0, 1]), (2**1 - 1) // 2) == 1
+
+
+def test_x_power_around_the_degree():
+    # x^e by squarings alone starts from x^j, j the longest prefix of e's
+    # bits below n: e below n needs no product, e = n one fold, and so on
+    rng = random.Random(313)
+    for q in KERNEL_PRIMES:
+        for n in (1, 2, 3, 7, 16, 20):
+            f = [rng.randrange(q) for _ in range(n)] + [1]
+            slots, ring = packed_ring(f, q)
+            for e in [*range(2 * n + 3), q - 1, q, q + 1, n * q, q * q]:
+                assert slots.to_list(ring.x_power(e)) == gf_pow_mod([0, 1], e, f, q)
+
+
+def test_distinct_degree_steps_against_lists():
+    # the packed sweep against the same sweep on coefficient lists, up to
+    # the edge prime, squarefree f or not
+    rng = random.Random(337)
+    for q in KERNEL_PRIMES:
+        for n in range(21):
+            for _ in range(2):
+                f = [rng.randrange(q) for _ in range(n)] + [1]
+                assert list(_distinct_degree_steps(f, q)) == distinct_degree_steps_by_lists(f, q)
+
+
+def test_packed_reduction_against_mod():
+    # every slot below V = n * q^2 comes out as its residue mod q, in each of
+    # the 2n slots a product fills: V - 1, multiples of q up to it, their
+    # neighbours and random values
+    assert EDGE_PRIME == 679093949
+    rng = random.Random(317)
+    for q in KERNEL_PRIMES:
+        for n in range(1, 21):
+            slots = _Slots(n, q)
+            bound = n * q * q
+            top = (bound - 1) // q * q
+            special = [0, 1, q - 1, q, q + 1, 2 * q, top - 1, top, bound - 1]
+            rows = [[bound - 1] * 2 * n, [top] * 2 * n]
+            rows += [[rng.choice(special) for _ in range(2 * n)] for _ in range(3)]
+            rows += [[rng.randrange(bound) for _ in range(2 * n)] for _ in range(3)]
+            for row in rows:
+                x = sum(v << (i * slots.width) for i, v in enumerate(row))
+                assert slots.reduce(x) == slots.pack([v % q for v in row])
+                assert slots.to_list(slots.reduce(x)) == gf_from_int(row, q)
+
+
+def test_packed_euclid_against_lists():
+    # the one GF(q) Euclid on packed slots against long division and
+    # Euclid on coefficient lists: quotient and remainder, the monic gcd
+    # and the extended gcd, with zero and constant operands among them
+    rng = random.Random(331)
+
+    def draw(q: int, degree: int) -> list[int]:
+        return gf_from_int([rng.randrange(q) for _ in range(degree + 1)], q)
+
+    for q in KERNEL_PRIMES:
+        for n in range(1, 21):
+            slots = _Slots(n, q)
+            pairs = [([], []), ([], [1]), ([q - 1], []), ([1], [q - 1]), (draw(q, n), []), ([], draw(q, n))]
+            pairs += [(draw(q, n), [rng.randrange(1, q)]), ([rng.randrange(1, q)], draw(q, n))]
+            for _ in range(4):
+                common = draw(q, rng.randint(0, n))
+                rest = n - max(len(common) - 1, 0)
+                pairs.append((gf_mul(common, draw(q, rng.randint(0, rest)), q), gf_mul(common, draw(q, rng.randint(0, rest)), q)))
+                pairs.append((draw(q, rng.randint(0, n)), draw(q, rng.randint(0, n))))
+            for a, b in pairs:
+                pa, pb = slots.pack(a), slots.pack(b)
+                if b:
+                    quo, rem = slots.divmod(pa, pb)
+                    assert (slots.to_list(quo), slots.to_list(rem)) == gf_divmod(a, b, q)
+                else:
+                    with pytest.raises(InputError, match="gf division by zero"):
+                        slots.divmod(pa, pb)
+                g = gf_gcd_by_lists(a, b, q)
+                assert slots.to_list(slots.gcd(pa, pb)) == g
+                if not (a or b):
+                    with pytest.raises(InputError):
+                        gf_extended_euclid(a, b, q)
+                    continue
+                g2, s, t = gf_extended_euclid(a, b, q)
+                assert g2 == g and gf_add(gf_mul(s, a, q), gf_mul(t, b, q), q) == g
 
 
 def test_gf_divmod_identity():
@@ -506,11 +599,16 @@ def test_good_split_against_sympy():
 
 
 def test_good_split_modulus_limit():
-    # packed slots hold sums below deg * q^2, which must stay below 2^63
-    with pytest.raises(InputError, match="2\\^63"):
-        _good_split(UniPoly([1, 0, 0, 0, 1]), 2**31 - 1)
-    with pytest.raises(InputError, match="2\\^63"):
-        degree_multiset_mod(UniPoly([1, 0, 0, 0, 1]), 2**31 - 1)
+    # every slot sum stays below deg * q^2, which must stay below 2^63
+    message = "GF(2147483647) kernel needs deg * q^2 < 2^63; degree 4 at modulus 2147483647 exceeds it"
+    for call in (_good_split, degree_multiset_mod):
+        with pytest.raises(InputError, match="2\\^63") as raised:
+            call(UniPoly([1, 0, 0, 0, 1]), 2**31 - 1)
+        assert str(raised.value) == message
+    # the edge prime is accepted at degree 20, not at degree 21
+    _Slots(20, EDGE_PRIME)
+    with pytest.raises(InputError, match=f"degree 21 at modulus {EDGE_PRIME} exceeds it"):
+        _Slots(21, EDGE_PRIME)
 
 
 def test_primes_up_to():
