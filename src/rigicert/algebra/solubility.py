@@ -274,16 +274,19 @@ def _check_prime_bound(prime_bound: int) -> None:
         raise InputError(f"prime bound {prime_bound} is below 2, the least prime")
 
 
-def _certificate(p: UniPoly, prime_bound: int) -> SolubilityCertificate:
+def _certificate(p: UniPoly, prime_bound: int, primes: list[int] | None = None) -> SolubilityCertificate:
     """`nonsolubility_certificate` of a p the caller knows to be irreducible,
-    such as a factor from `factor_over_q`; p is not factored again."""
-    _check_prime_bound(prime_bound)
+    such as a factor from `factor_over_q`; p is not factored again.  A caller
+    certifying several factors sieves once and passes `primes_up_to(prime_bound)`
+    as `primes`, having checked the bound itself."""
+    if primes is None:
+        _check_prime_bound(prime_bound)
     p = p.normalized()
     n = p.degree
     rules = tuple(rules_for_degree(n))
     prefixes = _rule_prefixes(n)
     if prefixes:
-        for q in primes_up_to(prime_bound):
+        for q in primes_up_to(prime_bound) if primes is None else primes:
             split = _good_split(p, q, prefixes)
             if split is not None:
                 multiset = _split_degrees(split)

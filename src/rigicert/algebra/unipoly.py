@@ -581,26 +581,24 @@ def degree_multiset_mod(p: UniPoly, q: int) -> tuple[int, ...] | None:
 # Hensel lifting and Zassenhaus recombination
 
 
-def _hensel_step(m2: int, f, g, h, s, t):
-    """One quadratic lift: inputs satisfy f = g*h and s*g + t*h = 1 (mod m),
-    h monic; outputs satisfy the same mod m2, which may be any divisor of m**2."""
-    mul = lambda a, b: gf_mul(a, b, m2)
-    sub = lambda a, b: gf_sub(a, b, m2)
-    add = lambda a, b: gf_add(a, b, m2)
-    e = sub(gf_from_int(f, m2), mul(g, h))
-    q_, r_ = gf_divmod(mul(s, e), h, m2)
-    g_star = add(add(g, mul(t, e)), mul(q_, g))
-    h_star = add(h, r_)
-    b = sub(add(mul(s, g_star), mul(t, h_star)), [1])
-    c_, d_ = gf_divmod(mul(s, b), h_star, m2)
-    s_star = sub(s, d_)
-    t_star = sub(sub(t, mul(t, b)), mul(c_, g_star))
-    return g_star, h_star, s_star, t_star
-
-
 def _lift_pair(moduli: list[int], f, g, h, s, t):
+    """Lift f = g*h, s*g + t*h = 1 (mod m), h monic, through each modulus of
+    `moduli` in turn, each dividing the square of the one before, by
+    quadratic steps; returns g and h.  The last step lifts g and h only,
+    since nothing reads its s and t."""
     for m2 in moduli:
-        g, h, s, t = _hensel_step(m2, f, g, h, s, t)
+        mul = lambda a, b: gf_mul(a, b, m2)
+        sub = lambda a, b: gf_sub(a, b, m2)
+        add = lambda a, b: gf_add(a, b, m2)
+        e = sub(gf_from_int(f, m2), mul(g, h))
+        q_, r_ = gf_divmod(mul(s, e), h, m2)
+        g = add(add(g, mul(t, e)), mul(q_, g))
+        h = add(h, r_)
+        if m2 != moduli[-1]:
+            b = sub(add(mul(s, g), mul(t, h)), [1])
+            c_, d_ = gf_divmod(mul(s, b), h, m2)
+            s = sub(s, d_)
+            t = sub(sub(t, mul(t, b)), mul(c_, g))
     return g, h
 
 

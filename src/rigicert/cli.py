@@ -221,7 +221,7 @@ def cmd_k33(args) -> dict:
         square_eliminate_y,
         x1_branch_report,
     )
-    from .algebra.unipoly import factor_over_q
+    from .algebra.unipoly import factor_over_q, primes_up_to
 
     distances = (
         list(K33_SPECIAL_DISTANCES)
@@ -233,11 +233,10 @@ def cmd_k33(args) -> dict:
     quartics = square_eliminate_y(system)
     elimination = eliminate_to_x3(quartics)
     factors = factor_over_q(elimination.eliminant)
-    certificates = []
-    for factor, multiplicity in factors:
-        if factor.degree < 2:
-            continue
-        certificates.append(certificate_json(_certificate(factor, args.prime_bound)))
+    primes = primes_up_to(args.prime_bound)
+    certificates = [
+        certificate_json(_certificate(factor, args.prime_bound, primes)) for factor, _ in factors if factor.degree >= 2
+    ]
     return {
         "distances": [fraction_json(d) for d in distances],
         "equations": [multipoly_json(eq) for eq in system.equations],

@@ -1,20 +1,20 @@
 """Laman predicates, maximally independent subgraphs, surgery, Henneberg census.
 
-One (2,3) pebble game decides independence; restarted with one vertex's edges
-released, it finds the rigid components of G - x, which answer every maximally
-independent (MI) proper subgraph question without enumerating vertex subsets.
-A rigid component is the maximal tight set (2|S| - 3 edges) holding an edge,
-found by one reverse search from the free pebbles.  The game runs on vertex
-indices and keeps its orientation in both directions, heads and tails, so
-that search needs no reverse adjacency built per query and a copy for G - x
-is a few list copies.  All operations are pure functions over immutable
-graphs.
+One (2,3) pebble game decides independence, and the same game, with three
+pebbles gathered on an edge, gives the edge's rigid component in every G - x
+at once, which answers every maximally independent (MI) proper subgraph
+question without enumerating vertex subsets.  A rigid component is the
+maximal tight set (2|S| - 3 edges) holding an edge.  The game runs on vertex
+indices and keeps its orientation in both directions, heads and tails, so a
+search against the orientation needs no reverse adjacency built per query
+and a copy of the game is a few list copies.  All operations are pure
+functions over immutable graphs.
 
 A graph's game is played once per graph object, on the first question asked
-of it, and kept on it (`_game`); queries that move pebbles run on a
-`without_vertex` copy, so the kept game never changes.  The census keeps
-none: a game on each catalog graph it returns would raise its peak memory
-by about a tenth, for questions nobody asks again.
+of it, and kept on it (`_game`); each MI search or contractibility query
+moves pebbles on one `copy` of it, so the kept game never changes.  The
+census keeps none: a game on each catalog graph it returns would raise its
+peak memory by about a tenth, for questions nobody asks again.
 
 A Laman graph on 4 or more vertices with a triangle or a vertex of degree 2
 is not basic, so `is_basic` and the census run the MI search only on graphs
@@ -24,8 +24,21 @@ the one Henneberg move), keys it on them, skips the moves that an
 automorphism of the parent maps to an earlier move, and builds a `Graph`
 from the lists only for each new class.
 
-Two facts let one game per graph answer every question a reduction round asks:
+Three facts let one game per graph answer every question a reduction round asks:
 
+- Components of G - x from G's game.  Let G be independent and gather three
+  pebbles on its edge uv, which always succeeds.  Of the four pebbles of u
+  and v only one is not free, and it covers uv, so along the orientation u
+  and v reach only each other.  A tight set T through u and v is closed
+  under out-edges, since its 2|T| - 3 edges take every pebble of T but the
+  three on uv; so T holds R(z), everything z reaches, for each z in T, and
+  holds no other free pebble.  Conversely R(z) + {u, v} is closed and holds
+  exactly those three free pebbles, so it is tight.  Tight sets through uv
+  have a tight union.  Hence, for x not u or v, the rigid component of uv
+  in G - x is V minus the vertices that reach x or a free pebble off uv:
+  one search against the orientation from x and the free pebbles
+  (`_component`), or, for every x at once, each vertex's set of vertices
+  reaching it (`_reaching`).
 - Star restriction.  Let x1 be a vertex of least degree.  Every maximal MI
   proper subgraph W is a rigid component of G - x1 (if x1 is not in W), or the
   rigid component of G - x holding an edge x1y, for any x not in W (if x1 is
@@ -34,7 +47,7 @@ Two facts let one game per graph answer every question a reduction round asks:
   than 2k - 3 edges on the other k vertices), so x1 has a neighbour y != x in
   W, and the component of x1y in G - x is a proper tight set containing W,
   hence W.  So only G - x1 needs every edge asked; every other G - x needs
-  only x1's star.
+  only x1's star, and each star edge needs one gather for all of them.
 - Contraction.  Let the edge uv of a Laman graph G lie in exactly one
   triangle uvw.  G/uv has the right edge count, and a subgraph S through u
   and v loses one edge if w is not in S and two if it is; so G/uv is Laman
@@ -69,7 +82,9 @@ class _PebbleGame:
     or covering an edge that then points away from it; `out[i]` lists the at
     most two heads of i's edges and `into[i]` is the set of their tails, both
     kept on every move.  `independent` turns False, ending the game, at the
-    first edge that cannot gather 4 pebbles.  Queries take and return labels."""
+    first edge that cannot gather 4 pebbles.  Queries take vertex indices
+    (`index` maps labels to them) and return vertex sets as bitmasks of
+    indices, which `members` turns into labels."""
 
     def __init__(self, g: Graph):
         self.labels = g.sorted_vertices()
@@ -88,20 +103,13 @@ class _PebbleGame:
             self.out[i].append(j)
             self.into[j].add(i)
 
-    def without_vertex(self, x: int) -> _PebbleGame:
-        """The game on G - x: x's edges removed, their pebbles back with their owners."""
-        i = self.index[x]
+    def copy(self) -> _PebbleGame:
+        """A game in the same state that moves only its own pebbles."""
         game = _PebbleGame.__new__(_PebbleGame)
         game.labels, game.index, game.independent = self.labels, self.index, self.independent
-        game.pebbles = pebbles = self.pebbles.copy()
-        game.out = out = list(map(list.copy, self.out))
-        game.into = into = list(map(set.copy, self.into))
-        for tail in self.into[i]:
-            out[tail].remove(i)
-            pebbles[tail] += 1
-        for head in self.out[i]:
-            into[head].discard(i)
-        pebbles[i], out[i], into[i] = 2, [], set()
+        game.pebbles = self.pebbles.copy()
+        game.out = list(map(list.copy, self.out))
+        game.into = list(map(set.copy, self.into))
         return game
 
     def _take_pebble(self, root: int, other: int) -> bool:
@@ -138,23 +146,83 @@ class _PebbleGame:
                 return False
         return True
 
-    def rigid_component(self, u: int, v: int) -> frozenset[int]:
-        """The rigid component holding the edge uv: with three pebbles on uv, the
-        vertices that cannot fetch a free pebble from outside uv, found by one
-        search against the orientation (along `into`) from the free pebbles."""
-        i, j = self.index[u], self.index[v]
+    def _hold(self, i: int, j: int) -> None:
+        # three free pebbles on the edge ij; an independent game always has them
         if not self._gather(i, j, 3):
-            raise InternalInvariantError(f"edge {(u, v)} cannot hold three pebbles")
-        loose = list(map(bool, self.pebbles))
-        loose[i] = loose[j] = False
+            edge_labels = (self.labels[i], self.labels[j])
+            raise InternalInvariantError(f"edge {edge_labels} cannot hold three pebbles")
+
+    def _component(self, i: int, j: int, x: int) -> int:
+        """The rigid component of the edge ij in G - x, for x not i or j, as
+        a bitmask of vertex indices: with three pebbles on ij, the vertices
+        that reach neither x nor a free pebble off ij, found by one search
+        against the orientation (along `into`) from x and the free pebbles."""
+        self._hold(i, j)
+        outside = list(map(bool, self.pebbles))
+        outside[i] = outside[j] = False
+        outside[x] = True
         into = self.into
-        stack = list(itertools.compress(range(len(loose)), loose))
+        stack = list(itertools.compress(range(len(outside)), outside))
         while stack:
             for w in into[stack.pop()]:
-                if not loose[w]:
-                    loose[w] = True
+                if not outside[w]:
+                    outside[w] = True
                     stack.append(w)
-        return frozenset(itertools.compress(self.labels, map(operator.not_, loose)))
+        return sum(1 << k for k in itertools.compress(range(len(outside)), map(operator.not_, outside)))
+
+    def _reaching(self) -> list[int]:
+        """For each vertex w, the bitmask of the vertices that reach w along
+        the orientation, w among them.  Tarjan's search along `into` closes a
+        strongly connected class only after every class it reaches, so each
+        class's mask is its own bits and the finished masks of its tails."""
+        into = self.into
+        n = len(into)
+        reach = [0] * n
+        order = [0] * n  # discovery number; 0 while unvisited
+        low = [0] * n
+        closed = [False] * n
+        stack: list[int] = []
+        count = 0
+        for root in range(n):
+            if order[root]:
+                continue
+            count += 1
+            order[root] = low[root] = count
+            stack.append(root)
+            path = [(root, iter(into[root]))]
+            while path:
+                v, tails = path[-1]
+                for w in tails:
+                    if not order[w]:
+                        count += 1
+                        order[w] = low[w] = count
+                        stack.append(w)
+                        path.append((w, iter(into[w])))
+                        break
+                    if not closed[w] and order[w] < low[v]:
+                        low[v] = order[w]
+                else:
+                    path.pop()
+                    if path and low[v] < low[path[-1][0]]:
+                        low[path[-1][0]] = low[v]
+                    if low[v] == order[v]:
+                        members = []
+                        mask = 0
+                        while not members or members[-1] != v:
+                            w = stack.pop()
+                            members.append(w)
+                            mask |= 1 << w
+                        for w in members:
+                            for t in into[w]:
+                                mask |= reach[t]
+                        for w in members:
+                            reach[w] = mask
+                            closed[w] = True
+        return reach
+
+    def members(self, mask: int) -> frozenset[int]:
+        """The labels of the vertex indices set in `mask`."""
+        return frozenset(itertools.compress(self.labels, map(int, bin(mask)[:1:-1])))
 
 
 def _game(g: Graph) -> _PebbleGame:
@@ -178,24 +246,44 @@ def is_laman(g: Graph) -> bool:
 
 def _vertex_deleted_components(g: Graph, final: _PebbleGame) -> Iterator[frozenset[int]]:
     """Rigid components (>= 3 vertices) of graphs G - x, from G's game `final`,
-    among them every maximal MI proper subgraph.  G must be independent: each
-    component then induces an MI proper subgraph.  With x1 of least degree
-    (smallest label on ties), G - x1 is asked about every edge and each other
-    G - x only about the edges x1y, which the star restriction in the module
-    docstring shows is enough."""
+    among them every maximal MI proper subgraph; each is yielded once.  G must
+    be independent: each component then induces an MI proper subgraph.  With
+    x1 of least degree (smallest label on ties), G - x1 is asked about every
+    edge not inside a component already found, and each other G - x only
+    about the edges x1y, which the star restriction in the module docstring
+    shows is enough.  All the questions move pebbles on one copy of `final`:
+    one gather per edge of G - x1 and one per star edge, which answers every
+    G - x at once from the vertices reaching each x."""
     if not g.vertices:
         return
-    x1 = min(g.sorted_vertices(), key=g.degree)
-    star = [(x1, y) for y in sorted(g.neighbors(x1))]
-    for x in g.sorted_vertices():
-        game = final.without_vertex(x)
-        found: list[frozenset[int]] = []
-        for u, v in g.sorted_edges() if x == x1 else star:
-            if x != u and x != v and not any(u in c and v in c for c in found):
-                comp = game.rigid_component(u, v)
-                if len(comp) >= 3:
-                    found.append(comp)
-                    yield comp
+    game = final.copy()
+    index = game.index
+    x1 = index[min(g.sorted_vertices(), key=g.degree)]
+    # the components found so far; while G - x1 is asked, exactly its own
+    found: set[int] = set()
+    for u, v in g.sorted_edges():
+        i, j = index[u], index[v]
+        pair = 1 << i | 1 << j
+        if x1 != i and x1 != j and not any(c & pair == pair for c in found):
+            comp = game._component(i, j, x1)
+            if comp.bit_count() >= 3:
+                found.add(comp)
+                yield game.members(comp)
+    n = len(game.labels)
+    full = (1 << n) - 1
+    for y in sorted(index[w] for w in g.neighbors(game.labels[x1])):
+        game._hold(x1, y)
+        reach = game._reaching()
+        loose = 0
+        for k in itertools.compress(range(n), game.pebbles):
+            if k != x1 and k != y:
+                loose |= reach[k]
+        for x in range(n):
+            if x != x1 and x != y:
+                comp = full & ~(loose | reach[x])
+                if comp.bit_count() >= 3 and comp not in found:
+                    found.add(comp)
+                    yield game.members(comp)
 
 
 def _no_proper_laman_subgraph(g: Graph, final: _PebbleGame) -> bool:
@@ -276,7 +364,9 @@ def is_contractible(g: Graph, e: Edge) -> bool:
     apexes = triangles_through(g, e)
     if len(apexes) != 1:
         return False
-    return _game(g).without_vertex(apexes[0]).rigid_component(*e) == set(e)
+    game = _game(g)
+    i, j = game.index[e[0]], game.index[e[1]]
+    return game.copy()._component(i, j, game.index[apexes[0]]) == 1 << i | 1 << j
 
 
 def fan_edges(cycle: tuple[int, ...]) -> list[Edge]:

@@ -4,7 +4,8 @@ Each scans every vertex subset, edge set, branch set or prime directly, or
 keeps a slower definition the package has replaced (contractibility by
 contracting, separating vertex sets by one component walk per subset, a
 rigid component as the largest tight vertex set through an edge, the pebble
-game's rigid components of every edge of every G - x, the canonical form by
+game's rigid components of every edge of every G - x on a game of its own,
+Hensel lifting with s and t lifted at every step, the canonical form by
 a recursive search on labels, the census by plain Henneberg closure, the
 resultant's subresultant sequence over Fraction-valued polynomials, the
 integer gcd by a primitive polynomial remainder sequence, powers in
@@ -23,7 +24,17 @@ from fractions import Fraction
 
 from rigicert.algebra.multipoly import MultiPoly
 from rigicert.algebra.solubility import _rule_hit
-from rigicert.algebra.unipoly import UniPoly, degree_multiset_mod, gf_divmod, gf_monic, gf_mul, gf_sub, primes_up_to
+from rigicert.algebra.unipoly import (
+    UniPoly,
+    degree_multiset_mod,
+    gf_add,
+    gf_divmod,
+    gf_from_int,
+    gf_monic,
+    gf_mul,
+    gf_sub,
+    primes_up_to,
+)
 from rigicert.errors import (
     DegenerateInputError,
     InputError,
@@ -89,11 +100,49 @@ def containment_maximal(family: list[frozenset[int]]) -> list[frozenset[int]]:
     return sorted((w for w in family if not any(w < other for other in family)), key=sorted)
 
 
+class VertexDeletedGame(_PebbleGame):
+    """The pebble game with G - x played by releasing x's edges from a copy,
+    and a rigid component read from the game's own free pebbles alone."""
+
+    def without_vertex(self, x: int) -> VertexDeletedGame:
+        """The game on G - x: x's edges removed, their pebbles back with their owners."""
+        i = self.index[x]
+        game = VertexDeletedGame.__new__(VertexDeletedGame)
+        game.labels, game.index, game.independent = self.labels, self.index, self.independent
+        game.pebbles = pebbles = self.pebbles.copy()
+        game.out = out = list(map(list.copy, self.out))
+        game.into = into = list(map(set.copy, self.into))
+        for tail in self.into[i]:
+            out[tail].remove(i)
+            pebbles[tail] += 1
+        for head in self.out[i]:
+            into[head].discard(i)
+        pebbles[i], out[i], into[i] = 2, [], set()
+        return game
+
+    def rigid_component(self, u: int, v: int) -> frozenset[int]:
+        """The rigid component holding the edge uv: with three pebbles on uv,
+        the vertices that cannot fetch a free pebble from outside uv, found by
+        a search against the orientation from the free pebbles."""
+        i, j = self.index[u], self.index[v]
+        if not self._gather(i, j, 3):
+            raise InternalInvariantError(f"edge {(u, v)} cannot hold three pebbles")
+        loose = [bool(p) and k not in (i, j) for k, p in enumerate(self.pebbles)]
+        stack = [k for k, flag in enumerate(loose) if flag]
+        while stack:
+            for w in self.into[stack.pop()]:
+                if not loose[w]:
+                    loose[w] = True
+                    stack.append(w)
+        return frozenset(label for label, flag in zip(self.labels, loose) if not flag)
+
+
 def mi_proper_subgraphs_all_vertex_scan(g: Graph) -> list[frozenset[int]]:
     """`mi_proper_subgraphs` from the rigid component of every edge of every
-    G - x, skipping only edges inside a component already found for that x:
-    each maximal MI proper subgraph W is a component of G - x for x not in W."""
-    final = _PebbleGame(g)
+    G - x, each G - x on its own game with x's edges released, skipping only
+    edges inside a component already found for that x: each maximal MI
+    proper subgraph W is a component of G - x for x not in W."""
+    final = VertexDeletedGame(g)
     if not final.independent:
         raise InputError("maximally independent subgraphs are defined for independent graphs")
     found: set[frozenset[int]] = set()
@@ -107,6 +156,30 @@ def mi_proper_subgraphs_all_vertex_scan(g: Graph) -> list[frozenset[int]]:
                     components.append(component)
         found.update(components)
     return containment_maximal(list(found))
+
+
+def _hensel_step(m2: int, f, g, h, s, t):
+    """One quadratic lift: inputs satisfy f = g*h and s*g + t*h = 1 (mod m),
+    h monic; outputs satisfy the same mod m2, which may be any divisor of m**2."""
+    mul = lambda a, b: gf_mul(a, b, m2)
+    sub = lambda a, b: gf_sub(a, b, m2)
+    add = lambda a, b: gf_add(a, b, m2)
+    e = sub(gf_from_int(f, m2), mul(g, h))
+    q_, r_ = gf_divmod(mul(s, e), h, m2)
+    g_star = add(add(g, mul(t, e)), mul(q_, g))
+    h_star = add(h, r_)
+    b = sub(add(mul(s, g_star), mul(t, h_star)), [1])
+    c_, d_ = gf_divmod(mul(s, b), h_star, m2)
+    s_star = sub(s, d_)
+    t_star = sub(sub(t, mul(t, b)), mul(c_, g_star))
+    return g_star, h_star, s_star, t_star
+
+
+def lift_pair_every_step(moduli: list[int], f, g, h, s, t):
+    """`unipoly._lift_pair` with s and t lifted at every step, the last included."""
+    for m2 in moduli:
+        g, h, s, t = _hensel_step(m2, f, g, h, s, t)
+    return g, h
 
 
 def is_contractible_by_contraction(g: Graph, e: Edge) -> bool:

@@ -305,6 +305,24 @@ def test_k33_default_pipeline(capsys):
     assert f8["coefficients"][-1] == "19741148184576"
 
 
+def test_k33_sieves_the_primes_once_for_every_factor(capsys, monkeypatch):
+    import rigicert.algebra.solubility as solubility
+    import rigicert.algebra.unipoly as unipoly
+
+    bounds = []
+    sieve = unipoly.primes_up_to
+
+    def counting_sieve(bound):
+        bounds.append(bound)
+        return sieve(bound)
+
+    monkeypatch.setattr(unipoly, "primes_up_to", counting_sieve)
+    monkeypatch.setattr(solubility, "primes_up_to", counting_sieve)
+    code, out, _ = run_cli(capsys, "k33", "--prime-bound", "500")
+    assert code == 0 and len(report_of(out)["result"]["certificates"]) == 2
+    assert bounds == [500]
+
+
 def test_k33_degenerate_distances(capsys):
     code, out, _ = run_cli(capsys, "k33", "--distances", "1,1,1,1,1,4,9/16,9/4", "--prime-bound", "200")
     assert code == 0

@@ -11,6 +11,7 @@ from rigicert.graph import (
     Graph,
     _canonical_search,
     canonical_form,
+    contract_edge,
     freedom_number,
     induced_subgraph,
     is_m_connected,
@@ -28,6 +29,7 @@ from rigicert.rigidity import (
     maximal_mi_subgraph,
     mi_proper_subgraphs,
     surgery,
+    triangles_through,
 )
 
 from conftest import four_cycle, henneberg_ii_from_k33, k4, k4_minus_edge, k33, prism, triangle, two_triangles
@@ -251,9 +253,9 @@ def test_mi_queries_match_all_vertex_scan_beyond_the_subset_oracle(n):
         assert is_basic(h) == (not maximal)
 
 
-def test_rigid_components_match_tight_set_oracle(census_by_n):
-    # one game per G - x answers every edge in turn, so each query starts from
-    # the orientation the earlier ones left behind
+def _oracle_graphs(census_by_n):
+    """Relabelled census graphs, independent non-Laman graphs made from them
+    by deleting one to three edges, and Henneberg graphs of 9 vertices."""
     rng = random.Random(47)
     graphs = []
     for n in range(4, 9):
@@ -261,46 +263,84 @@ def test_rigid_components_match_tight_set_oracle(census_by_n):
         for g in rng.sample(reps, min(12, len(reps))):
             relabel = dict(zip(g.sorted_vertices(), rng.sample(range(100), g.n)))
             graphs.append(Graph(relabel.values(), [(relabel[u], relabel[v]) for u, v in g.edges]))
-    graphs += [g.without_edges(rng.sample(g.sorted_edges(), rng.randint(1, 3))) for g in graphs]
-    graphs += _henneberg_graphs(seed=47, count=8, max_n=9, min_n=9)
+    deleted = [g.without_edges(rng.sample(g.sorted_edges(), rng.randint(1, 3))) for g in graphs]
+    return graphs, deleted, _henneberg_graphs(seed=47, count=8, max_n=9, min_n=9)
+
+
+def test_rigid_components_match_tight_set_oracle(census_by_n):
+    # one copy of G's game answers every (x, edge of G - x) in turn, so each
+    # query starts from the orientation the earlier ones left behind
+    laman, deleted, henneberg = _oracle_graphs(census_by_n)
     larger = 0
-    for g in graphs:
+    for g in laman + deleted + henneberg:
         final = rigidity._PebbleGame(g)
         assert final.independent
+        before = copy.deepcopy((final.pebbles, final.out, final.into))
+        game = final.copy()
         for x in g.sorted_vertices():
-            before = copy.deepcopy((final.pebbles, final.out, final.into))
-            game = final.without_vertex(x)
             h = induced_subgraph(g, g.vertices - {x})
-            answers = {(u, v): game.rigid_component(u, v) for u, v in h.sorted_edges()}
-            for (u, v), component in answers.items():
+            for u, v in h.sorted_edges():
+                mask = game._component(game.index[u], game.index[v], game.index[x])
+                component = game.members(mask)
                 assert component == rigid_component_exhaustive(h, u, v), (g, x, (u, v))
                 larger += len(component) > 2
-            # asked again, from the state the last query left
-            assert all(game.rigid_component(u, v) == c for (u, v), c in answers.items())
-            # both directions of the orientation still agree, and pebbles are kept
-            tails = [{t for t, heads in enumerate(game.out) if w in heads} for w in range(g.n)]
-            assert game.into == tails
-            assert all(p + len(heads) == 2 for p, heads in zip(game.pebbles, game.out))
-            # the copy shares no list or set with the game it came from
-            assert (final.pebbles, final.out, final.into) == before
+        # both directions of the orientation still agree, and pebbles are kept
+        tails = [{t for t, heads in enumerate(game.out) if w in heads} for w in range(g.n)]
+        assert game.into == tails
+        assert all(p + len(heads) == 2 for p, heads in zip(game.pebbles, game.out))
+        # the copy shares no list or set with the game it came from
+        assert (final.pebbles, final.out, final.into) == before
     assert larger > 2000
 
 
-def test_star_restricted_search_call_count(monkeypatch):
-    # G - x1 asks about its edges and each other G - x only about x1's star:
-    # at most e + (n - 1) * (least degree) rigid components per search
-    calls = []
-    rigid_component = rigidity._PebbleGame.rigid_component
+def test_reaching_masks_match_forward_searches(census_by_n):
+    # after a gather on each edge, every vertex's mask of the vertices
+    # reaching it against a search along `out` from each vertex; the
+    # orientations have cycles, so some classes hold more than one vertex
+    laman, deleted, henneberg = _oracle_graphs(census_by_n)
+    cyclic = 0
+    for g in laman + deleted + henneberg + [henneberg_ii_from_k33(seed=3, n=40)]:
+        game = rigidity._PebbleGame(g).copy()
+        for u, v in g.sorted_edges():
+            game._hold(game.index[u], game.index[v])
+            reaching = game._reaching()
+            for z in range(g.n):
+                seen, stack = {z}, [z]
+                while stack:
+                    for w in game.out[stack.pop()]:
+                        if w not in seen:
+                            seen.add(w)
+                            stack.append(w)
+                assert all((reaching[w] >> z) & 1 == (w in seen) for w in range(g.n)), (g, (u, v), z)
+            cyclic += len(set(reaching)) < g.n
+    assert cyclic > 100
 
-    def counting_rigid_component(game, u, v):
-        calls.append((u, v))
-        return rigid_component(game, u, v)
 
-    monkeypatch.setattr(rigidity._PebbleGame, "rigid_component", counting_rigid_component)
+def test_star_restricted_search_call_count(monkeypatch, pebble_games):
+    # one copy of G's game per search; G - x1 gathers once per edge it asks
+    # about and each star edge x1y once for every G - x: at most e gathers
     g = henneberg_ii_from_k33(seed=2, n=80)
-    least = min(g.degree(v) for v in g.vertices)
-    mi_proper_subgraphs(g)
-    assert 0 < len(calls) <= g.e + (g.n - 1) * least
+    assert is_independent(g)
+    gathers, copies = [], []
+    gather, copy_game = rigidity._PebbleGame._gather, rigidity._PebbleGame.copy
+
+    def counting_gather(game, i, j, count):
+        gathers.append((i, j))
+        return gather(game, i, j, count)
+
+    def counting_copy(game):
+        copies.append(game)
+        return copy_game(game)
+
+    monkeypatch.setattr(rigidity._PebbleGame, "_gather", counting_gather)
+    monkeypatch.setattr(rigidity._PebbleGame, "copy", counting_copy)
+    for search in (mi_proper_subgraphs, maximal_mi_subgraph):
+        gathers.clear()
+        copies.clear()
+        search(g)
+        assert 0 < len(gathers) <= g.e
+        assert copies == [g._game]
+    assert pebble_games == [g]
 
 
 def test_contractibility_criterion_matches_contraction(census_by_n):
@@ -312,6 +352,32 @@ def test_contractibility_criterion_matches_contraction(census_by_n):
     assert all(fast == slow for fast, slow in verdicts)
     contractible = sum(fast for fast, _ in verdicts)
     assert 1000 < contractible < len(verdicts) - 1000
+
+
+def test_contraction_query_on_relabelled_and_edge_deleted_graphs(census_by_n):
+    # the relabelled Laman graphs against contraction; on the edge-deleted
+    # ones, which hold free pebbles off the gathered edge, both functions
+    # refuse, and the query behind them still says whether G/uv is independent
+    laman, deleted, _ = _oracle_graphs(census_by_n)
+    rng = random.Random(3)
+    deleted += [g.without_edges([rng.choice(g.sorted_edges())]) for g in census_by_n[8].representatives]
+    verdicts = [(is_contractible(g, e), is_contractible_by_contraction(g, e)) for g in laman for e in g.sorted_edges()]
+    assert all(fast == slow for fast, slow in verdicts)
+    assert 0 < sum(fast for fast, _ in verdicts) < len(verdicts)
+    answers = []
+    for g in deleted:
+        for function in (is_contractible, is_contractible_by_contraction):
+            with pytest.raises(InputError, match="defined for Laman graphs"):
+                function(g, g.sorted_edges()[0])
+        game = rigidity._PebbleGame(g)
+        for u, v in g.sorted_edges():
+            apexes = triangles_through(g, (u, v))
+            if len(apexes) == 1:
+                i, j = game.index[u], game.index[v]
+                alone = game.copy()._component(i, j, game.index[apexes[0]]) == 1 << i | 1 << j
+                answers.append(alone)
+                assert alone == is_independent(contract_edge(g, (u, v))), (g, (u, v))
+    assert set(answers) == {True, False}
 
 
 def test_is_contractible():

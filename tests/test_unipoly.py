@@ -31,7 +31,7 @@ from rigicert.algebra.unipoly import (
 )
 from rigicert.errors import InputError
 
-from oracles import distinct_degree_steps_by_lists, gf_gcd_by_lists, gf_pow_mod, poly_gcd_prs
+from oracles import distinct_degree_steps_by_lists, gf_gcd_by_lists, gf_pow_mod, lift_pair_every_step, poly_gcd_prs
 
 
 def random_poly(rng, max_deg=8, span=20):
@@ -167,6 +167,32 @@ def test_hensel_lift_stops_at_the_least_power_of_p_past_the_target():
             product = gf_mul(product, g, modulus)
         assert product == gf_from_int(f.coeffs, modulus)
         checked += 1
+
+
+def test_hensel_lift_matches_the_chain_lifting_s_and_t_at_every_step(monkeypatch):
+    # the lifts are unique (h monic, g0 and h0 coprime mod p), so skipping the
+    # last step's s and t changes none of them; seeded products of up to four
+    # random factors, lifted past random targets
+    from rigicert.algebra import unipoly
+
+    rng = random.Random(173)
+    checked = 0
+    while checked < 40:
+        f = random_poly(rng, max_deg=4, span=40)
+        for _ in range(rng.randint(1, 3)):
+            f = f * random_poly(rng, max_deg=4, span=40)
+        p = rng.choice([3, 5, 7, 11, 13, 17])
+        split = _good_split(f, p)
+        if split is None or f.degree < 2:
+            continue
+        factors = gf_factor_squarefree(split, p)
+        target = rng.randrange(2, 10 ** rng.randint(2, 60))
+        lifted = hensel_lift(p, target, list(f.coeffs), factors)
+        with monkeypatch.context() as m:
+            m.setattr(unipoly, "_lift_pair", lift_pair_every_step)
+            assert hensel_lift(p, target, list(f.coeffs), factors) == lifted
+        checked += len(factors) > 1
+    assert checked == 40
 
 
 def test_factor_examples():
