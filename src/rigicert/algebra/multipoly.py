@@ -1,7 +1,12 @@
 """Sparse multivariate polynomials over exact rationals, and resultants.
 
 Coefficients are `fractions.Fraction`; exponent vectors index a fixed variable
-tuple.
+tuple.  The public constructor validates what it is given: distinct variable
+names, exponent vectors of non-negative ints, exact rational coefficients,
+repeated exponent vectors summed.  Arithmetic builds each result once, through
+the unchecked `MultiPoly._of`, from operands that are already valid: `+` and
+`-` merge the operands' term dicts in one pass and drop the terms that
+cancel, and every other operation drops its zero terms itself.
 
 `resultant` clears denominators once: each operand p becomes a primitive
 integer polynomial P = c_p p, with c_p rational, nested as dense coefficient
@@ -21,6 +26,7 @@ call it, and unipoly's GF(q) arithmetic reduces its results mod q.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -45,13 +51,13 @@ class MultiPoly:
     __slots__ = ("variables", "terms")
 
     def __init__(self, variables: Iterable[str], terms: Mapping[Exponents, Fraction] = ()):
-        object.__setattr__(self, "variables", tuple(variables))
+        object.__setattr__(self, "variables", _checked_variables(variables))
         nvars = len(self.variables)
         clean: dict[Exponents, Fraction] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for exps, coeff in items:
             exps = tuple(exps)
-            if len(exps) != nvars or any(e < 0 for e in exps):
+            if len(exps) != nvars or not all(isinstance(e, int) and e >= 0 for e in exps):
                 raise InputError(f"bad exponent vector {exps} for {nvars} variables")
             coeff = as_fraction(coeff)
             if coeff:
@@ -60,6 +66,15 @@ class MultiPoly:
                     del clean[exps]
         object.__setattr__(self, "terms", clean)
 
+    @classmethod
+    def _of(cls, variables: tuple[str, ...], terms: dict[Exponents, Fraction]) -> "MultiPoly":
+        """The polynomial of terms that arithmetic made, unchecked: `variables`
+        a valid tuple, `terms` a dict of nonzero Fractions that it then owns."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "variables", variables)
+        object.__setattr__(p, "terms", terms)
+        return p
+
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
 
@@ -67,21 +82,21 @@ class MultiPoly:
 
     @classmethod
     def zero(cls, variables: Iterable[str]) -> "MultiPoly":
-        return cls(variables)
+        return cls._of(_checked_variables(variables), {})
 
     @classmethod
     def constant(cls, variables: Iterable[str], value) -> "MultiPoly":
-        variables = tuple(variables)
+        variables = _checked_variables(variables)
         v = as_fraction(value)
-        return cls(variables, {(0,) * len(variables): v} if v else {})
+        return cls._of(variables, {(0,) * len(variables): v} if v else {})
 
     @classmethod
     def variable(cls, variables: Iterable[str], name: str) -> "MultiPoly":
-        variables = tuple(variables)
+        variables = _checked_variables(variables)
         if name not in variables:
             raise InputError(f"unknown variable {name!r}")
         exps = tuple(1 if v == name else 0 for v in variables)
-        return cls(variables, {exps: Fraction(1)})
+        return cls._of(variables, {exps: Fraction(1)})
 
     # predicates and views
 
@@ -117,7 +132,7 @@ class MultiPoly:
             reduced = exps[:i] + (0,) + exps[i + 1 :]
             buckets.setdefault(exps[i], {})[reduced] = coeff
         top = max(buckets, default=0)
-        return [MultiPoly(self.variables, buckets.get(d, {})) for d in range(top + 1)]
+        return [MultiPoly._of(self.variables, buckets.get(d, {})) for d in range(top + 1)]
 
     def used_variables(self) -> frozenset[str]:
         used = set()
@@ -133,43 +148,53 @@ class MultiPoly:
         if self.variables != other.variables:
             raise InputError("variable tuples differ")
 
-    def __add__(self, other: "MultiPoly") -> "MultiPoly":
+    def _merge(self, other: "MultiPoly", op, lone) -> "MultiPoly":
+        """self op other in one pass over other's terms: `lone` maps a term
+        that self lacks, and terms that cancel are dropped."""
         self._check_compatible(other)
         terms = dict(self.terms)
         for exps, coeff in other.terms.items():
-            terms[exps] = terms.get(exps, Fraction(0)) + coeff
-        return MultiPoly(self.variables, terms)
+            acc = terms.get(exps)
+            if acc is None:
+                terms[exps] = lone(coeff)
+            elif acc := op(acc, coeff):
+                terms[exps] = acc
+            else:
+                del terms[exps]
+        return MultiPoly._of(self.variables, terms)
+
+    def __add__(self, other: "MultiPoly") -> "MultiPoly":
+        return self._merge(other, operator.add, operator.pos)
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.variables, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._of(self.variables, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
-        return self + (-other)
+        return self._merge(other, operator.sub, operator.neg)
 
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
         self._check_compatible(other)
         terms: dict[Exponents, Fraction] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
+                key = tuple(map(operator.add, e1, e2))
                 acc = terms.get(key)
                 terms[key] = c1 * c2 if acc is None else acc + c1 * c2
-        return MultiPoly(self.variables, terms)
+        return MultiPoly._of(self.variables, {e: c for e, c in terms.items() if c})
 
     def scale(self, value) -> "MultiPoly":
         v = as_fraction(value)
-        return MultiPoly(self.variables, {e: c * v for e, c in self.terms.items()})
+        return MultiPoly._of(self.variables, {e: c * v for e, c in self.terms.items()} if v else {})
 
     def __pow__(self, n: int) -> "MultiPoly":
         """p^n = P^n / c^n on the dense kernel, for p = P / c with P over Z."""
-        if n < 0:
-            raise InputError("negative power")
+        _check_power(n)
         if self.is_zero():
             return MultiPoly.constant(self.variables, 0 if n else 1)
         k = len(self.variables)
         dense, c = _integer_form(self, list(range(k)))
         scale = c**n
-        return MultiPoly(self.variables, {e: v / scale for e, v in _unnest(_pow(dense, n, k), k)})
+        return MultiPoly._of(self.variables, {e: v / scale for e, v in _unnest(_pow(dense, n, k), k)})
 
     def evaluate(self, assignment: Mapping[str, Fraction]) -> Fraction:
         missing = self.used_variables() - set(assignment)
@@ -187,17 +212,16 @@ class MultiPoly:
 
     def substitute(self, assignment: Mapping[str, Fraction]) -> "MultiPoly":
         """Partially evaluate some variables at exact rational values."""
-        values = {name: as_fraction(v) for name, v in assignment.items()}
-        idx = [self.variables.index(name) for name in values]
+        values = {self._index(name): as_fraction(v) for name, v in assignment.items()}
         terms: dict[Exponents, Fraction] = {}
         for exps, coeff in self.terms.items():
-            for name, i in zip(values, idx):
+            for i, value in values.items():
                 e = exps[i]
                 if e:
-                    coeff = coeff * values[name] ** e
-            key = tuple(0 if i in idx else e for i, e in enumerate(exps))
+                    coeff = coeff * value**e
+            key = tuple(0 if i in values else e for i, e in enumerate(exps))
             terms[key] = terms.get(key, Fraction(0)) + coeff
-        return MultiPoly(self.variables, terms)
+        return MultiPoly._of(self.variables, {e: c for e, c in terms.items() if c})
 
     def __eq__(self, other) -> bool:
         return (
@@ -222,6 +246,21 @@ class MultiPoly:
             )
             bits.append(f"{coeff}" + (f"*{mono}" if mono else ""))
         return "MultiPoly(" + " + ".join(bits) + ")"
+
+
+def _checked_variables(variables: Iterable[str]) -> tuple[str, ...]:
+    variables = tuple(variables)
+    if len(set(variables)) != len(variables):
+        raise InputError(f"repeated variable names in {variables}")
+    return variables
+
+
+def _check_power(n) -> None:
+    """Refuse an exponent that is not an int >= 0, which `_pow` would loop on."""
+    if not isinstance(n, int):
+        raise InputError(f"integer power expected, got {n!r}")
+    if n < 0:
+        raise InputError("negative power")
 
 
 # The dense kernel works on integer polynomials.  A polynomial in k variables
@@ -466,4 +505,4 @@ def resultant(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
         for j, e in zip(others, exps):
             full[j] = e
         terms[tuple(full)] = c / scale
-    return MultiPoly(f.variables, terms)
+    return MultiPoly._of(f.variables, terms)

@@ -34,7 +34,9 @@ beyond it.  `gf_divmod` on lists stays for Hensel lifting mod p^k.
 Integer arithmetic comes from the one dense kernel in `multipoly` (`_strip`,
 `_add`, `_neg`, `_sub`, `_mul`, `_pow`, `_exact_quotient`): `UniPoly` calls it
 on its coefficient tuples, and gf_add, gf_sub and gf_mul reduce its results
-mod q.
+mod q.  The public `UniPoly` constructor checks that every coefficient is an
+int and strips trailing zeros; arithmetic builds each result once, through
+the unchecked `UniPoly._of`, from the kernel's stripped int lists.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from ..errors import InputError, InternalInvariantError
-from .multipoly import _add, _exact_quotient, _mul, _neg, _pow, _strip, _sub
+from .multipoly import _add, _check_power, _exact_quotient, _mul, _neg, _pow, _strip, _sub
 
 
 class UniPoly:
@@ -63,6 +65,14 @@ class UniPoly:
                 raise InputError(f"integer coefficient expected, got {c!r}")
         object.__setattr__(self, "coeffs", tuple(_strip(cs)))
 
+    @classmethod
+    def _of(cls, coeffs: Sequence[int]) -> "UniPoly":
+        """The polynomial of ints that arithmetic made, unchecked: `coeffs`
+        holds no trailing zero."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "coeffs", tuple(coeffs))
+        return p
+
     def __setattr__(self, name, value):
         raise AttributeError("UniPoly is immutable")
 
@@ -72,7 +82,7 @@ class UniPoly:
         fracs = [Fraction(v) for v in values]
         scale = math.lcm(*(f.denominator for f in fracs)) if fracs else 1
         ints = [int(f * scale) for f in fracs]
-        return cls(ints).normalized()
+        return cls._of(_strip(ints)).normalized()
 
     @property
     def degree(self) -> int:
@@ -97,28 +107,31 @@ class UniPoly:
         c = self.content()
         if self.leading < 0:
             c = -c
-        return UniPoly([x // c for x in self.coeffs])
+        return UniPoly._of([x // c for x in self.coeffs])
 
     def __add__(self, other: "UniPoly") -> "UniPoly":
-        return UniPoly(_add(self.coeffs, other.coeffs, 1))
+        return UniPoly._of(_add(self.coeffs, other.coeffs, 1))
 
     def __neg__(self) -> "UniPoly":
-        return UniPoly(_neg(self.coeffs, 1))
+        return UniPoly._of(_neg(self.coeffs, 1))
 
     def __sub__(self, other: "UniPoly") -> "UniPoly":
-        return UniPoly(_sub(self.coeffs, other.coeffs, 1))
+        return UniPoly._of(_sub(self.coeffs, other.coeffs, 1))
 
     def __mul__(self, other: "UniPoly") -> "UniPoly":
-        return UniPoly(_mul(self.coeffs, other.coeffs, 1))
+        return UniPoly._of(_mul(self.coeffs, other.coeffs, 1))
 
     def scale(self, k: int) -> "UniPoly":
-        return UniPoly([c * k for c in self.coeffs])
+        if not isinstance(k, int):
+            raise InputError(f"integer scale expected, got {k!r}")
+        return UniPoly._of([c * k for c in self.coeffs] if k else ())
 
     def __pow__(self, n: int) -> "UniPoly":
-        return UniPoly(_pow(self.coeffs, n, 1))
+        _check_power(n)
+        return UniPoly._of(_pow(self.coeffs, n, 1))
 
     def derivative(self) -> "UniPoly":
-        return UniPoly([i * c for i, c in enumerate(self.coeffs)][1:])
+        return UniPoly._of([i * c for i, c in enumerate(self.coeffs)][1:])
 
     def evaluate(self, x):
         total = 0
@@ -131,7 +144,7 @@ class UniPoly:
         if divisor.is_zero():
             raise InputError("division by zero polynomial")
         q = _exact_quotient(self.coeffs, divisor.coeffs, 1)
-        return None if q is None else UniPoly(q)
+        return None if q is None else UniPoly._of(q)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, UniPoly) and self.coeffs == other.coeffs
@@ -182,7 +195,7 @@ def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
             c = _mod_sym(h, xi)
             digits.append(c)
             h = (h - c) // xi
-        cand = UniPoly(digits).normalized()
+        cand = UniPoly._of(digits).normalized()  # the last digit is nonzero
         if f.try_divide(cand) is not None and g.try_divide(cand) is not None:
             return cand.scale(cont)
         xi = xi * 73794 // 27011  # geometric growth, by about e
@@ -354,9 +367,10 @@ class _Slots:
 
     def divmod(self, a: int, b: int) -> tuple[int, int]:
         """(quotient, remainder) of reduced a by reduced b != 0, the one
-        GF(q) Euclid: each quotient term t cancels the leading slot c by
-        adding (q - t) * b, shifted under it, and masks that slot off; the
-        remainder is reduced once at the end."""
+        GF(q) long division, whose remainder steps `gcd` inlines: each
+        quotient term t cancels the leading slot c by adding (q - t) * b,
+        shifted under it, and masks that slot off; the remainder is reduced
+        once at the end."""
         q, width, masks = self.q, self.width, self.masks
         db = (b.bit_length() - 1) // width
         if db < 0:
@@ -377,9 +391,22 @@ class _Slots:
         return quo, self.reduce(a)
 
     def gcd(self, a: int, b: int) -> int:
-        """The monic gcd of reduced a and b (zero for two zeros)."""
+        """The monic gcd of reduced a and b (zero for two zeros): Euclid with
+        `divmod`'s remainder steps inlined, and no quotient kept."""
+        q, width, masks = self.q, self.width, self.masks
         while b:
-            a, b = b, self.divmod(a, b)[1]
+            db = (b.bit_length() - 1) // width
+            inv = q - pow(b >> (db * width), -1, q)  # -1 / lc(b)
+            da = (a.bit_length() - 1) // width
+            shift = (da - db) * width
+            while shift >= 0:
+                c = (a >> (da * width)) % q
+                if c:
+                    a += c * inv % q * b << shift
+                a &= masks[da]
+                da -= 1
+                shift -= width
+            a, b = b, self.reduce(a)
         return self.monic(a)
 
 
@@ -686,7 +713,7 @@ def factor_squarefree_primitive(f: UniPoly) -> list[UniPoly]:
             cand = [current.leading % modulus]
             for i in combo:
                 cand = gf_mul(cand, lifted[i], modulus)
-            cand_int = UniPoly([_mod_sym(c, modulus) for c in cand]).normalized()
+            cand_int = UniPoly._of([_mod_sym(c, modulus) for c in cand]).normalized()
             quotient = current.try_divide(cand_int)
             if quotient is not None:
                 out.append(cand_int)

@@ -134,3 +134,22 @@ def graphs_built(monkeypatch):
 
     monkeypatch.setattr(Graph, "__init__", counting_init)
     return built
+
+
+@pytest.fixture
+def validating_constructions(monkeypatch):
+    """The classes whose public, validating constructor ran while the test
+    runs, one entry per construction, in order."""
+    from rigicert.algebra.multipoly import MultiPoly
+    from rigicert.algebra.unipoly import UniPoly
+
+    built: list[str] = []
+    for cls in (MultiPoly, UniPoly):
+        init = cls.__init__
+
+        def counting_init(p, *args, init=init, name=cls.__name__, **kwargs):
+            built.append(name)
+            init(p, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting_init)
+    return built

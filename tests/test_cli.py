@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -305,6 +306,13 @@ def test_k33_default_pipeline(capsys):
     assert f8["coefficients"][-1] == "19741148184576"
 
 
+def test_k33_builds_every_polynomial_once(capsys, validating_constructions):
+    # arithmetic results skip the public constructors' validation
+    code, out, _ = run_cli(capsys, "k33", "--prime-bound", "500")
+    assert code == 0 and report_of(out)["result"]["eliminant_degree"] == 20
+    assert validating_constructions == []
+
+
 def test_k33_sieves_the_primes_once_for_every_factor(capsys, monkeypatch):
     import rigicert.algebra.solubility as solubility
     import rigicert.algebra.unipoly as unipoly
@@ -330,31 +338,61 @@ def test_k33_degenerate_distances(capsys):
     assert result["x1_branch"]["extends"] is True
 
 
-def test_k33_planted_distances_leave_planted_root(capsys):
-    from fractions import Fraction
+PLANTED_POINTS = {
+    1: (Fraction(0), Fraction(0)),
+    2: (Fraction(1), Fraction(0)),
+    3: (Fraction(1, 2), Fraction(2)),
+    4: (Fraction(-1, 3), Fraction(1)),
+    5: (Fraction(3, 2), Fraction(-1)),
+    6: (Fraction(2), Fraction(3, 4)),
+}
 
+
+def planted_distances() -> str:
     from rigicert.algebra.systems import planted_k33_distances
+
+    return ",".join(str(v) for v in planted_k33_distances(PLANTED_POINTS))
+
+
+def test_k33_planted_distances_leave_planted_root(capsys):
     from rigicert.algebra.unipoly import UniPoly
 
-    pts = {
-        1: (Fraction(0), Fraction(0)),
-        2: (Fraction(1), Fraction(0)),
-        3: (Fraction(1, 2), Fraction(2)),
-        4: (Fraction(-1, 3), Fraction(1)),
-        5: (Fraction(3, 2), Fraction(-1)),
-        6: (Fraction(2), Fraction(3, 4)),
-    }
-    d = ",".join(str(v) for v in planted_k33_distances(pts))
-    code, out, _ = run_cli(capsys, "k33", "--distances", d, "--prime-bound", "50")
+    code, out, _ = run_cli(capsys, "k33", "--distances", planted_distances(), "--prime-bound", "50")
     assert code == 0
     result = report_of(out)["result"]
-    planted_x3 = pts[3][0]
+    planted_x3 = PLANTED_POINTS[3][0]
     vanishing = [
         f
         for f in result["factors"]
         if UniPoly([int(c) for c in f["coefficients"]]).evaluate(planted_x3) == 0
     ]
     assert vanishing
+
+
+def ci_twenty_digit_distances() -> str:
+    """The eight seeded 20-digit distances of CI's k33 time limit step."""
+    r = random.Random(1)
+    return ",".join(f"{r.randrange(10**19, 10**20)}/{r.randrange(10**19, 10**20)}" for _ in range(8))
+
+
+@pytest.mark.parametrize(
+    "distances, prime_bound, digest",
+    [
+        (None, "10000", "602d8366c83d102d0dcf8bdfc7c687f7b8746ca3e1ee5bd5f60382b029d81210"),
+        (ci_twenty_digit_distances, "100", "85fa326142d8007e5a1f011e92521a2b43ac13b80ecbdda4224b7aa25b871b8c"),
+        (planted_distances, "50", "97e48b9a0502550cca7cab4e52fe80cb5b41a8885cf7f1cf425f0676a647eeb3"),
+    ],
+    ids=["published", "ci-20-digit", "planted"],
+)
+def test_k33_reports_are_pinned(capsys, distances, prime_bound, digest):
+    # the sha256 of the printed report up to its last field, `timing_ms`
+    argv = ["k33", "--prime-bound", prime_bound]
+    if distances is not None:
+        argv += ["--distances", distances()]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    head, sep, _ = out.rpartition(',"timing_ms":')
+    assert sep and hashlib.sha256(head.encode()).hexdigest() == digest
 
 
 def test_k33_bad_distances(capsys):

@@ -388,3 +388,71 @@ def test_published_elimination_pinned():
         assert h.variables == ("x3", "x4", "x5", "x6")
         assert h.terms == {(a, 0, b, 0): Fraction(c) for (a, b), c in pinned.items()}
     assert result.raw_content == Fraction(-531441, 16777216)
+
+
+def assert_clean(p: MultiPoly) -> None:
+    """An arithmetic result is what the public constructor makes of it: no
+    zero coefficient, only Fraction coefficients, int exponent vectors."""
+    assert p == MultiPoly(p.variables, p.terms)
+    assert all(type(c) is Fraction and c for c in p.terms.values())
+    assert all(type(e) is tuple and len(e) == len(p.variables) for e in p.terms)
+    assert all(type(d) is int for e in p.terms for d in e)
+
+
+def test_arithmetic_results_are_built_clean():
+    rng = random.Random(25)
+    vs = ("x", "y", "z")
+    x = MultiPoly.variable(vs, "x")
+    for _ in range(60):
+        p = random_multi(rng, vs, nterms=rng.randint(0, 6))
+        q = random_multi(rng, vs, nterms=rng.randint(0, 6)).scale(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+        # operands that share terms, so that sums and differences cancel
+        r = p + q.scale(Fraction(1, 2)) - p.scale(Fraction(rng.randint(-1, 1)))
+        results = [p + q, p - q, p - p, p + (-p), r - q, -p, p * q, p * r, p.scale(0), r.scale(Fraction(-2, 7))]
+        results += [p**n for n in range(4)]
+        results += [r.substitute({"y": Fraction(rng.randint(-2, 2), rng.randint(1, 3))})]
+        results += [p.substitute({"x": 0, "z": Fraction(1, 2)}), p.substitute({})]
+        results += p.coefficients_in("y") + r.coefficients_in("x")
+        f, g = x * x + p, x * r + q + MultiPoly.constant(vs, 1)
+        results += [resultant(f, g, "x"), resultant(g, x - q, "x")]
+        results += [MultiPoly.zero(vs), MultiPoly.constant(vs, 0), MultiPoly.constant(vs, "-3/4"), x]
+        for result in results:
+            assert_clean(result)
+            assert result.variables == vs
+
+
+def test_float_exponent_is_refused():
+    with pytest.raises(InputError, match="bad exponent vector"):
+        MultiPoly(("x",), {(1.5,): 1})
+
+
+def test_str_exponent_is_refused():
+    with pytest.raises(InputError, match="bad exponent vector"):
+        MultiPoly(("x", "y"), [(("1", 0), 1)])
+
+
+def test_repeated_variable_names_are_refused():
+    for build in (
+        lambda: MultiPoly(("x", "x")),
+        lambda: MultiPoly(["x", "y", "x"], {(1, 0, 0): 1}),
+        lambda: MultiPoly.zero(("y", "y")),
+        lambda: MultiPoly.constant(("x", "x"), 1),
+        lambda: MultiPoly.variable(("x", "x"), "x"),
+    ):
+        with pytest.raises(InputError, match="repeated variable names"):
+            build()
+
+
+def test_substitute_of_an_unknown_variable_is_refused():
+    p = MultiPoly.variable(("x", "y"), "x")
+    with pytest.raises(InputError, match="^unknown variable 'z'$"):
+        p.substitute({"z": 1})
+
+
+def test_power_refuses_negative_and_non_int_exponents():
+    p = MultiPoly.variable(("x",), "x") + MultiPoly.constant(("x",), 1)
+    with pytest.raises(InputError, match="^negative power$"):
+        p**-1
+    for n in (1.5, 2.0, "2", Fraction(2)):
+        with pytest.raises(InputError, match="integer power expected"):
+            p**n

@@ -641,3 +641,32 @@ def test_primes_up_to():
     assert primes_up_to(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert primes_up_to(1) == []
     assert [q for q in range(-2, 1000) if is_prime(q)] == primes_up_to(999)
+
+
+def test_unipoly_power_refuses_negative_and_non_int_exponents():
+    p = UniPoly([1, 1])
+    with pytest.raises(InputError, match="^negative power$"):
+        p**-1
+    for n in (1.5, 2.0, "2", Fraction(2)):
+        with pytest.raises(InputError, match="integer power expected"):
+            p**n
+    assert p**0 == UniPoly([1]) and UniPoly() ** 0 == UniPoly([1]) and UniPoly() ** 3 == UniPoly()
+
+
+def test_unipoly_results_are_built_clean():
+    # every result is what the public constructor makes of its coefficients:
+    # a tuple of ints with no trailing zero
+    rng = random.Random(25)
+    for _ in range(80):
+        p, q = random_poly(rng, max_deg=6), random_poly(rng, max_deg=6)
+        r = p * q
+        results = [p + q, p - q, p - p, p + (-p), p + q - q.scale(1) - p, -p, r, UniPoly() * p]
+        results += [p.scale(rng.randint(-3, 3)), p.scale(0), p**2, p**0, p.derivative(), UniPoly([7]).derivative()]
+        results += [r.try_divide(q), p.normalized(), r.scale(-6).normalized(), poly_gcd(r, p), poly_gcd(p, q)]
+        results += [UniPoly.from_fractions([Fraction(c, rng.randint(1, 5)) for c in p.coeffs] + [Fraction(0)])]
+        for result in results:
+            assert result == UniPoly(result.coeffs)
+            assert type(result.coeffs) is tuple and all(type(c) is int for c in result.coeffs)
+            assert not result.coeffs or result.coeffs[-1]
+    with pytest.raises(InputError, match="integer scale expected"):
+        UniPoly([1, 2]).scale(Fraction(1, 2))
