@@ -1,12 +1,13 @@
 """Sparse multivariate polynomials over exact rationals, and resultants.
 
 Coefficients are `fractions.Fraction`; exponent vectors index a fixed variable
-tuple.  The public constructor validates what it is given: distinct variable
-names, exponent vectors of non-negative ints, exact rational coefficients,
-repeated exponent vectors summed.  Arithmetic builds each result once, through
-the unchecked `MultiPoly._of`, from operands that are already valid: `+` and
-`-` merge the operands' term dicts in one pass and drop the terms that
-cancel, and every other operation drops its zero terms itself.
+tuple.  The public constructor validates what it is given: distinct str
+variable names, exponent vectors of non-negative ints, exact rational
+coefficients (a bool is neither), repeated exponent vectors summed.
+Arithmetic builds each result once, through the unchecked `MultiPoly._of`,
+from operands that are already valid: `+` and `-` merge the operands' term
+dicts in one pass and drop the terms that cancel, and every other operation
+drops its zero terms itself.
 
 `resultant` clears denominators once: each operand p becomes a primitive
 integer polynomial P = c_p p, with c_p rational, nested as dense coefficient
@@ -36,9 +37,11 @@ Exponents = tuple[int, ...]
 
 
 def as_fraction(value) -> Fraction:
+    """An exact rational from a Fraction, an int or a decimal or fraction
+    string; a bool is not a number here."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if type(value) is int:
         return Fraction(value)
     if isinstance(value, str):
         return Fraction(value)
@@ -57,7 +60,7 @@ class MultiPoly:
         items = terms.items() if isinstance(terms, Mapping) else terms
         for exps, coeff in items:
             exps = tuple(exps)
-            if len(exps) != nvars or not all(isinstance(e, int) and e >= 0 for e in exps):
+            if len(exps) != nvars or not all(type(e) is int and e >= 0 for e in exps):
                 raise InputError(f"bad exponent vector {exps} for {nvars} variables")
             coeff = as_fraction(coeff)
             if coeff:
@@ -250,6 +253,9 @@ class MultiPoly:
 
 def _checked_variables(variables: Iterable[str]) -> tuple[str, ...]:
     variables = tuple(variables)
+    for name in variables:
+        if not isinstance(name, str):
+            raise InputError(f"variable names must be strings, got {name!r}")
     if len(set(variables)) != len(variables):
         raise InputError(f"repeated variable names in {variables}")
     return variables

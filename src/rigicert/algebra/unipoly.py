@@ -35,8 +35,9 @@ Integer arithmetic comes from the one dense kernel in `multipoly` (`_strip`,
 `_add`, `_neg`, `_sub`, `_mul`, `_pow`, `_exact_quotient`): `UniPoly` calls it
 on its coefficient tuples, and gf_add, gf_sub and gf_mul reduce its results
 mod q.  The public `UniPoly` constructor checks that every coefficient is an
-int and strips trailing zeros; arithmetic builds each result once, through
-the unchecked `UniPoly._of`, from the kernel's stripped int lists.
+int, not a bool, and strips trailing zeros; arithmetic builds each result
+once, through the unchecked `UniPoly._of`, from the kernel's stripped int
+lists.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ class UniPoly:
     def __init__(self, coeffs: Iterable[int] = ()):
         cs = list(coeffs)
         for c in cs:
-            if not isinstance(c, int):
+            if type(c) is not int:
                 raise InputError(f"integer coefficient expected, got {c!r}")
         object.__setattr__(self, "coeffs", tuple(_strip(cs)))
 

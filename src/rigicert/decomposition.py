@@ -12,11 +12,12 @@ misclassifies blocks such as K4-minus-an-edge, which is quadratically soluble
 yet 3-connected once its redundant edge is included.
 
 A separation pair is an `Edge` (a, b), a < b.  Both decompositions split a
-block at its least separation pair, the first one the enumeration behind
-`is_m_connected` yields, so the split order is fixed and no block ever lists
-all of its pairs.  Each separation `decompose_unique` performs is recorded
-once, as the `SeparationEvent` that holds the pair, the parts' freedoms and
-whether ab was an edge.
+block at its least separation pair, the first one the enumeration
+`_separating_sets` yields, so the split order is fixed and no block ever
+lists all of its pairs; a block that the linear path search `_triconnected`
+finds 3-connected is not scanned at all.  Each separation `decompose_unique`
+performs is recorded once, as the `SeparationEvent` that holds the pair, the
+parts' freedoms and whether ab was an edge.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .graph import (
     Graph,
     SeparationEvent,
     _separating_sets,
+    _triconnected,
     canonical_form,
     connected_components,
     contract_edge,
@@ -56,10 +58,13 @@ from .rigidity import (
 def _first_separation_pair(b: Block) -> Edge | None:
     """The least separation pair of a working block, virtual and redundant
     edges included; None for a 3-connected block and for one of fewer than 4
-    vertices, which no pair separates."""
-    if b.subgraph.n < 4:
+    vertices, which no pair separates.  One linear path search clears a
+    3-connected block; only a block with a pair gets the ascending scan,
+    which stops at its least pair."""
+    g = b.subgraph
+    if g.n < 4 or _triconnected(g):
         return None
-    return next(_separating_sets(b.subgraph, 2), None)
+    return next(_separating_sets(g, 2), None)
 
 
 def _split_block(b: Block, pair: Edge) -> tuple[list[Block], SeparationEvent]:

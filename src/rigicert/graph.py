@@ -7,11 +7,16 @@ derived from those sets, which never changes once set (two readers that
 fill it at once store equal values).
 
 A separation pair is a plain `Edge`, the pair (a, b) with a < b, whether or
-not ab is an edge of the graph.  `is_m_connected` and `separation_pairs` read
-one enumeration of the vertex sets whose removal disconnects the rest,
-`_separating_sets`: it removes vertices in ascending order and recurses, and
-answers the last vertex of each set with one lowpoint DFS for the cut vertices
-of what is left, so a scan for separation pairs costs O(n (n + e)).  Cutting a
+not ab is an edge of the graph.  Whether a graph is 3-connected, the question
+asked of every graph the reduction makes, is answered by `_triconnected`,
+Hopcroft and Tarjan's path search stopped at the first separation pair it
+meets: linear in the size of the graph but for one sort of each vertex's
+arcs.  Which pairs separate, and which is least, is read
+from one enumeration of the vertex sets whose removal disconnects the rest,
+`_separating_sets`, which also answers `is_m_connected` for m other than 3:
+it removes vertices in ascending order and recurses, and answers the last
+vertex of each set with one lowpoint DFS for the cut vertices of what is
+left, so a full scan for separation pairs costs O(n (n + e)).  Cutting a
 graph at a pair is left to the block decomposition, which adds virtual edges.
 
 Canonical forms come from one search on neighbour index lists,
@@ -303,12 +308,201 @@ def _separating_sets(g: Graph, size: int) -> Iterator[tuple[int, ...]]:
     yield from above(-1, size, frozenset())
 
 
+def _triconnected(g: Graph) -> bool:
+    """Whether G, of at least 4 vertices, is 3-connected: the path search of
+    Hopcroft & Tarjan ("Dividing a graph into triconnected components", 1973)
+    with the type-1 and type-2 conditions as corrected by Gutwenger & Mutzel
+    ("A linear time implementation of SPQR-trees", 2000), stopped at the first
+    separation pair, so no component is ever split off.  Linear in the size of
+    G but for sorting each vertex's arcs, which a comparison sort does here
+    in place of the paper's bucket pass; no recursion.
+
+    A vertex of degree at most 2 is separated by its neighbours, and on at
+    most 5 vertices least degree 3 is enough: each side of a separating pair
+    or vertex would hold a vertex of degree at most 2.  Otherwise, on vertex
+    indices in ascending label order, rooted at index 0:
+
+    - DFS1 numbers the vertices in preorder (`num`) and finds father, ND
+      (descendants, itself included), lowpt1 and lowpt2, and each vertex's
+      arcs: tree arcs to its children and fronds to its ancestors.  It
+      refuses a cut vertex and a disconnected graph.
+    - Each vertex's arcs are sorted by phi: 3 lowpt1(w), plus 2 where
+      lowpt2(w) >= v, for a tree arc v -> w, and 3 w + 1 for a frond.  In
+      that order a vertex's first arc continues the path it lies on and each
+      later arc starts a new one (the root's one arc starts the first), so
+      the path starts need no pass of their own; nor does NEWNUM, the
+      preorder that visits the children in reverse: a child is numbered its
+      father's number plus one plus the ND of the children after it.
+    - The path search keeps TSTACK, triples (h, a, b) and EOS markers (a =
+      -1).  It stops on a type-2 pair (after the tree arc v -> w, a top
+      triple with a = v and father(b) != v, v not the root) or on a type-1
+      pair (lowpt2(w) >= v, with father(v) not the root or an arc of v still
+      to come).
+
+    Every a is an ancestor of the current vertex, compared only with
+    ancestors, so it stays a DFS1 number; h and highpt, which compare
+    vertices of different subtrees, are NEWNUMs.  highpt(v), the first frond
+    into v that the search visits, is read only on the way back to v.  Until
+    one is visited, each triple that read could pop has b = v or an h from a
+    subtree of v already searched, numbered above the later subtrees where
+    the first frond lies, so 0 pops what the final value would: nothing.
+    """
+    adj = g._adj
+    for a in adj.values():
+        if len(a) < 3:
+            return False
+    n = len(adj)
+    if n <= 5:
+        return True
+    verts = sorted(adj)
+    if verts[-1] == n - 1:  # the labels are their own indices
+        nbrs = [adj[v] for v in verts]
+    else:
+        index = {v: i for i, v in enumerate(verts)}
+        nbrs = [[index[w] for w in adj[v]] for v in verts]
+
+    num = [0] * n
+    father = [-1] * n
+    low1 = [0] * n
+    low2 = [0] * n
+    nd = [1] * n
+    arcs: list[list[int]] = [[] for _ in range(n)]
+    order = [0]
+    num[0] = low1[0] = low2[0] = 1
+    stack = [(0, iter(nbrs[0]))]
+    while stack:
+        v, it = stack[-1]
+        fv = father[v]
+        for w in it:
+            x = num[w]
+            if not x:
+                order.append(w)
+                num[w] = low1[w] = low2[w] = len(order)
+                father[w] = v
+                arcs[v].append(w)
+                stack.append((w, iter(nbrs[w])))
+                break
+            if x < num[v] and w != fv:  # a frond; an edge to a descendant was one
+                arcs[v].append(w)
+                if x < low1[v]:
+                    low2[v] = low1[v]
+                    low1[v] = x
+                elif low1[v] < x < low2[v]:
+                    low2[v] = x
+        else:
+            stack.pop()
+            if fv < 0:
+                continue
+            if fv == 0:
+                if nd[v] != n - 1:  # the root has a second child, or G another component
+                    return False
+            elif low1[v] >= num[fv]:  # fv is a cut vertex
+                return False
+            l1, l2, lf = low1[v], low2[v], low1[fv]
+            if l1 < lf:
+                low1[fv] = l1
+                low2[fv] = min(lf, l2)
+            elif l1 == lf:
+                low2[fv] = min(low2[fv], l2)
+            elif l1 < low2[fv]:
+                low2[fv] = l1
+            nd[fv] += nd[v]
+
+    newnum = [0] * n
+    newnum[0] = 1
+    for v in order:
+        nv = num[v]
+        av = arcs[v]
+        if len(av) > 1:
+            keys = [
+                ((3 * low1[w] + (2 if low2[w] >= nv else 0)) if father[w] == v else 3 * num[w] + 1) * n + w
+                for w in av
+            ]
+            keys.sort()
+            av[:] = [k % n for k in keys]
+        nxt = newnum[v] + 1
+        for w in reversed(av):
+            if father[w] == v:
+                newnum[w] = nxt
+                nxt += nd[w]
+
+    high = [0] * n
+    pos = [0] * n
+    eos = (0, -1, -1)
+    ts = [eos]
+    stack = [0]
+    while True:
+        v = stack[-1]
+        av = arcs[v]
+        i = pos[v]
+        while i < len(av):
+            w = av[i]
+            i += 1
+            starts = i > 1 or v == 0
+            if father[w] == v:
+                if starts:
+                    l1 = low1[w]
+                    if ts[-1][1] > l1:
+                        y = 0
+                        while ts[-1][1] > l1:
+                            h, _, b = ts.pop()
+                            if h > y:
+                                y = h
+                        ts.append((y, l1, b))
+                    else:
+                        ts.append((newnum[w] + nd[w] - 1, l1, v))
+                    ts.append(eos)
+                pos[v] = i
+                stack.append(w)
+                break
+            if not high[w]:
+                high[w] = newnum[v]
+            if starts:
+                x = num[w]
+                if ts[-1][1] > x:
+                    y = 0
+                    while ts[-1][1] > x:
+                        h, _, b = ts.pop()
+                        if h > y:
+                            y = h
+                    ts.append((y, x, b))
+                else:
+                    ts.append((newnum[v], x, v))
+        else:
+            # back along the tree arc v -> w
+            stack.pop()
+            if not stack:
+                return True
+            w, v = v, stack[-1]
+            i = pos[v]
+            if v:
+                nv = num[v]
+                while ts[-1][1] == nv:
+                    if father[ts[-1][2]] != v:
+                        return False  # type-2 pair (v, b)
+                    ts.pop()
+                if low2[w] >= nv and (father[v] or i < len(arcs[v])):
+                    return False  # type-1 pair (lowpt1(w), v)
+            if i > 1 or v == 0:
+                while ts.pop()[1] >= 0:
+                    pass
+            hv = high[v]
+            top = ts[-1]
+            while top[1] >= 0 and top[2] != v and hv > top[0]:
+                ts.pop()
+                top = ts[-1]
+
+
 def is_m_connected(g: Graph, m: int) -> bool:
-    """|G| > m and no (m-1)-subset of vertices separates the rest."""
-    if m < 1:
+    """|G| > m and no (m-1)-subset of vertices separates the rest.  For m = 3
+    one linear path search answers (`_triconnected`); other m read the
+    enumeration `_separating_sets`."""
+    if type(m) is not int or m < 1:
         raise InputError("m must be a positive integer")
     if g.n <= m:
         return False
+    if m == 3:
+        return _triconnected(g)
     return next(_separating_sets(g, m - 1), None) is None
 
 

@@ -112,7 +112,8 @@ def first_pair_oracle(b: Block) -> Edge | None:
 
 
 def test_first_separation_pair_is_the_least_of_all(census_by_n):
-    # over every block the decomposition meets, virtual edges included
+    # over every block the decomposition meets, virtual edges included, and
+    # every block the classification meets, the parts' cores
     blocks = 0
     for n in range(4, 9):
         for g in census_by_n[n].representatives:
@@ -128,6 +129,15 @@ def test_first_separation_pair_is_the_least_of_all(census_by_n):
                     events.append(event)
                     work.extend(parts)
             assert tuple(events) == decompose_unique(g).events
+            work = [Block(g)]
+            while work:
+                b = work.pop()
+                pair = _first_separation_pair(b)
+                assert pair == first_pair_oracle(b)
+                blocks += 1
+                if pair is not None:
+                    parts, _ = _split_block(b, pair)
+                    work.extend(Block(p.core(), p.virtual_edges - p.redundant_flags) for p in parts)
     assert blocks > sum(len(census_by_n[n].representatives) for n in range(4, 9))
 
     rng = random.Random(53)

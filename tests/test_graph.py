@@ -12,6 +12,7 @@ from rigicert.graph import (
     Graph,
     _canonical_search,
     _separating_sets,
+    _triconnected,
     canonical_form,
     connected_components,
     contract_edge,
@@ -24,7 +25,7 @@ from rigicert.graph import (
     separation_pairs,
 )
 
-from conftest import g5, k4, k4_minus_edge, k5, k33, prism, triangle, two_triangles
+from conftest import g5, henneberg_ii_from_k33, k4, k4_minus_edge, k5, k33, prism, relabel, triangle, two_triangles
 from oracles import (
     automorphism_count_exhaustive,
     canonical_form_recursive,
@@ -146,6 +147,91 @@ def test_is_m_connected_against_bruteforce():
             for removed in itertools.combinations(g.sorted_vertices(), k):
                 rest = induced_subgraph(g, g.vertices - set(removed))
                 assert connected_components(g, removed) == connected_components(rest)
+
+
+def test_is_m_connected_refuses_an_m_that_is_not_an_int():
+    # a path is not 2-connected, yet m = 2.5 read it as such, and "3" raised
+    # a bare TypeError
+    path = Graph(range(5), [(0, 1), (1, 2), (2, 3), (3, 4)])
+    for m in (2.5, "3", 3.0, True, None):
+        with pytest.raises(InputError, match="^m must be a positive integer$"):
+            is_m_connected(path, m)
+    assert not is_m_connected(path, 2) and is_m_connected(path, 1)
+
+
+def wheel(n: int) -> Graph:
+    """Hub 0 joined to the cycle 1..n-1."""
+    return Graph(range(n), [(0, v) for v in range(1, n)] + [(v, v % (n - 1) + 1) for v in range(1, n)])
+
+
+def least_degree_three(rng: random.Random, n: int) -> Graph:
+    """A sparse random graph on n vertices with edges added until every vertex
+    has degree 3 or more."""
+    edges = {e for e in itertools.combinations(range(n), 2) if rng.random() < 2.5 / n}
+    degree = [0] * n
+    for u, v in edges:
+        degree[u] += 1
+        degree[v] += 1
+    for v in range(n):
+        while degree[v] < 3:
+            w = rng.randrange(n)
+            if w != v and (min(v, w), max(v, w)) not in edges:
+                edges.add((min(v, w), max(v, w)))
+                degree[v] += 1
+                degree[w] += 1
+    return Graph(range(n), edges)
+
+
+def glued(rng: random.Random, pieces: list[Graph], shared: int, with_edge: bool) -> Graph:
+    """The pieces, each with `shared` of its vertices sent to 0 (and 1) and
+    the rest to fresh labels, with or without the edge 01: the vertex 0, or
+    the pair {0, 1}, separates them."""
+    edges: set = set()
+    fresh = shared
+    for piece in pieces:
+        mapping = dict(zip(rng.sample(piece.sorted_vertices(), shared), range(shared)))
+        for v in piece.sorted_vertices():
+            if v not in mapping:
+                mapping[v] = fresh
+                fresh += 1
+        edges |= relabel(piece, mapping).edges
+    if shared == 2:
+        edges = edges | {(0, 1)} if with_edge else edges - {(0, 1)}
+    return Graph(range(fresh), edges)
+
+
+def shuffled_labels(rng: random.Random, g: Graph) -> Graph:
+    """g on distinct labels drawn from 0..3n+4, so they need not be contiguous."""
+    labels = g.sorted_vertices()
+    return relabel(g, dict(zip(labels, rng.sample(range(3 * len(labels) + 5), len(labels)))))
+
+
+def test_triconnected_against_the_scan_and_networkx(census_by_n):
+    rng = random.Random(26)
+    graphs = list(census_by_n[7].representatives) + list(census_by_n[8].representatives)
+    graphs += [shuffled_labels(rng, henneberg_ii_from_k33(s, rng.randint(6, 40))) for s in range(60)]
+    graphs += [shuffled_labels(rng, least_degree_three(rng, rng.randint(4, 40))) for _ in range(300)]
+    pieces = [k4(), k5(), prism(), k33(), wheel(6), wheel(8)]
+    pieces += [henneberg_ii_from_k33(s, rng.randint(7, 12)) for s in range(8)]
+    for shared in (1, 2, 2):
+        for _ in range(40):
+            g = glued(rng, rng.sample(pieces, rng.randint(2, 3)), shared, shared == 2 and rng.random() < 0.5)
+            graphs.append(shuffled_labels(rng, g))
+    graphs += [wheel(n) for n in range(4, 12)] + [shuffled_labels(rng, wheel(30)), wheel(200)]
+    # disconnected: two K4s, and K5 beside an isolated vertex
+    graphs += [Graph(range(8), k4().edges | relabel(k4(), {v: v + 4 for v in range(4)}).edges)]
+    graphs += [Graph({0, 1, 2, 3, 4, 9}, k5().edges)]
+    # every graph on 4 and 5 vertices
+    for n in (4, 5):
+        pairs = list(itertools.combinations(range(n), 2))
+        graphs += [Graph(range(n), itertools.compress(pairs, bits)) for bits in itertools.product((0, 1), repeat=len(pairs))]
+    answers = []
+    for g in graphs:
+        scan = next(_separating_sets(g, 2), None) is None
+        assert _triconnected(g) == scan == (nx.node_connectivity(to_nx(g)) >= 3), sorted(g.edges)
+        answers.append(scan)
+    # both answers occur often
+    assert 300 < sum(answers) < len(answers) - 300
 
 
 def _separates_brute(g: Graph, removed: set[int]) -> bool:

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from rigicert.algebra.multipoly import MultiPoly, _add, _divexact, _mul, _strip, resultant
+from rigicert.algebra.multipoly import MultiPoly, _add, _divexact, _mul, _strip, as_fraction, resultant
 from rigicert.errors import DegenerateInputError, InputError, InternalInvariantError
 
 from oracles import divexact, resultant_fraction_prs, sylvester_matrix
@@ -429,6 +429,32 @@ def test_float_exponent_is_refused():
 def test_str_exponent_is_refused():
     with pytest.raises(InputError, match="bad exponent vector"):
         MultiPoly(("x", "y"), [(("1", 0), 1)])
+
+
+def test_bool_exponent_is_refused():
+    with pytest.raises(InputError, match="bad exponent vector"):
+        MultiPoly(("x",), {(True,): 1})
+
+
+def test_non_str_variable_names_are_refused():
+    # a name that is not a str would be kept, and repr would then raise TypeError
+    for build in (
+        lambda: MultiPoly((1, 2), {(1, 0): 1}),
+        lambda: MultiPoly.zero(("x", None)),
+        lambda: MultiPoly.constant((b"x",), 1),
+        lambda: MultiPoly.variable((1,), 1),
+    ):
+        with pytest.raises(InputError, match="variable names must be strings"):
+            build()
+
+
+def test_as_fraction_refuses_bools():
+    for value in (True, False):
+        with pytest.raises(InputError, match="cannot interpret"):
+            as_fraction(value)
+    with pytest.raises(InputError, match="cannot interpret"):
+        MultiPoly(("x",), {(1,): True})
+    assert as_fraction(1) == 1 and as_fraction("-3/4") == Fraction(-3, 4)
 
 
 def test_repeated_variable_names_are_refused():

@@ -653,6 +653,14 @@ def test_unipoly_power_refuses_negative_and_non_int_exponents():
     assert p**0 == UniPoly([1]) and UniPoly() ** 0 == UniPoly([1]) and UniPoly() ** 3 == UniPoly()
 
 
+def test_unipoly_refuses_bool_coefficients():
+    # a bool would be kept as True and printed as such in a report
+    for coeffs in ([True, 0, True], [1, False], (False,)):
+        with pytest.raises(InputError, match="integer coefficient expected"):
+            UniPoly(coeffs)
+    assert UniPoly([1, 0, 1]).coeffs == (1, 0, 1)
+
+
 def test_unipoly_results_are_built_clean():
     # every result is what the public constructor makes of its coefficients:
     # a tuple of ints with no trailing zero
