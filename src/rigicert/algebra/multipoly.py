@@ -262,8 +262,8 @@ def _checked_variables(variables: Iterable[str]) -> tuple[str, ...]:
 
 
 def _check_power(n) -> None:
-    """Refuse an exponent that is not an int >= 0, which `_pow` would loop on."""
-    if not isinstance(n, int):
+    """Refuse a bool exponent, or one that is not an int >= 0, which `_pow` loops on."""
+    if type(n) is not int:
         raise InputError(f"integer power expected, got {n!r}")
     if n < 0:
         raise InputError("negative power")

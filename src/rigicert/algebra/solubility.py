@@ -4,8 +4,9 @@ Factorization degree patterns of an integer polynomial modulo good primes are
 cycle types of elements of its Galois group (Dedekind).  A prime q is good when
 it does not divide the leading coefficient and p mod q is squarefree; the
 sieve reads only those reductions, through `unipoly._good_split`, the one
-reader of p mod q, which factoring uses too.  Three sound rules can refute
-solubility of a transitive group from observed cycle types:
+reader of p mod q, which factoring uses too; its packed split is read here
+only by `unipoly._split_degrees`.  Three sound rules can refute solubility of
+a transitive group from observed cycle types:
 
   jordan_prime_cycle   a p-cycle with n/2 < p <= n-3, p prime: the group is
                        primitive and contains the alternating group.
@@ -27,7 +28,8 @@ is after degree 1 for most primes, since c_1 must be 3 or 5.  Only a prime
 that gets through the whole sweep is tested for a squarefree reduction.  At
 degrees 2, 3, 4, 5 and 7 no cycle type meets any rule, so the certificate
 ends INCONCLUSIVE at once there, without scanning a prime.  Prime bounds
-above MAX_PRIME_BOUND or below 2 are refused with InputError.
+above MAX_PRIME_BOUND or below 2 are refused with InputError, once per
+request, before anything is factored.
 """
 
 from __future__ import annotations
@@ -262,7 +264,7 @@ def nonsolubility_certificate(p: UniPoly, prime_bound: int = 10000) -> Solubilit
     factors = factor_over_q(p)
     if len(factors) != 1 or factors[0][1] != 1:
         raise InputError("polynomial is reducible; factor first and certify the pieces")
-    return _certificate(p, prime_bound)
+    return _certificate(p, prime_bound, primes_up_to(prime_bound))
 
 
 def _check_prime_bound(prime_bound: int) -> None:
@@ -274,19 +276,17 @@ def _check_prime_bound(prime_bound: int) -> None:
         raise InputError(f"prime bound {prime_bound} is below 2, the least prime")
 
 
-def _certificate(p: UniPoly, prime_bound: int, primes: list[int] | None = None) -> SolubilityCertificate:
+def _certificate(p: UniPoly, prime_bound: int, primes: list[int]) -> SolubilityCertificate:
     """`nonsolubility_certificate` of a p the caller knows to be irreducible,
-    such as a factor from `factor_over_q`; p is not factored again.  A caller
-    certifying several factors sieves once and passes `primes_up_to(prime_bound)`
-    as `primes`, having checked the bound itself."""
-    if primes is None:
-        _check_prime_bound(prime_bound)
+    such as a factor from `factor_over_q`; p is not factored again.  The
+    caller checks the bound and passes `primes_up_to(prime_bound)`, once for
+    all the factors it certifies."""
     p = p.normalized()
     n = p.degree
     rules = tuple(rules_for_degree(n))
     prefixes = _rule_prefixes(n)
     if prefixes:
-        for q in primes_up_to(prime_bound) if primes is None else primes:
+        for q in primes:
             split = _good_split(p, q, prefixes)
             if split is not None:
                 multiset = _split_degrees(split)

@@ -13,23 +13,23 @@ of Yun's algorithm come from the heuristic gcd GCDHEU (`poly_gcd`): one
 integer gcd of the two operands' values at a large point, read back as a
 polynomial and accepted only after trial division.
 
-The distinct-degree step over GF(q) follows von zur Gathen & Shoup: x^q mod f
-is computed once, and each degree then costs one vector-matrix product
-h -> h(x^q) with the Frobenius matrix, whose rows are x^(iq) mod f, instead of
-a modular q-th power.  The rows past x^q are built only when degree 2 is
-reached, so a caller that stops after degree 1 pays for x^q alone.  Every
-GF(q) polynomial of that kernel, from x^q through the Frobenius rows, the
-Euclid steps and Cantor-Zassenhaus, is one Python int of W-bit slots
-(Kronecker substitution, `_Slots`), so sums and products run in C big-int
-arithmetic.  W is chosen per (deg f, q): a slot sums at most deg f products
-of two residues, so it stays below V = deg f * q^2, and one packed reduction
-by a multiplied inverse (Granlund & Montgomery) takes every slot mod q in
-four big-int operations.  A reduced int gives its degree by `bit_length` and
-its coefficients by one `struct` unpack, with no `% q` per coefficient.  x^q
-takes squarings alone, a set bit of q being a one-slot shift of the square,
-and each product is brought below deg f by polynomial Barrett reduction
-(`_Ring`).  The kernel's contract is deg f * q^2 < 2^63; it raises InputError
-beyond it.  `gf_divmod` on lists stays for Hensel lifting mod p^k.
+Each reading of p mod q (`_good_split`) packs p mod q once, into one
+`_Slots(deg p, q)`: every GF(q) polynomial is one Python int of W-bit slots
+(Kronecker substitution), so sums and products run in C big-int arithmetic.
+It stays packed through the squarefree test (one gcd with the derivative),
+the distinct-degree step, the factor degrees and Cantor-Zassenhaus; lists
+appear only where Hensel lifting mod p^k begins, on `gf_mul` and `gf_divmod`.
+The distinct-degree step follows von zur Gathen & Shoup: x^q mod f is
+computed once, and each degree then costs one vector-matrix product
+h -> h(x^q) with the Frobenius matrix, whose rows are x^(iq) mod f and are
+built only when degree 2 is reached.  W is chosen per (deg f, q): a slot sums
+at most deg f products of two residues, so it stays below V = deg f * q^2,
+and one packed reduction by a multiplied inverse (Granlund & Montgomery)
+takes every slot mod q in four big-int operations.  A reduced int gives its
+degree by `bit_length` and its coefficients by one `struct` unpack.  x^q takes
+squarings alone, and each product is brought below deg f by polynomial
+Barrett reduction (`_Ring`).  The kernel's contract is deg f * q^2 < 2^63; it
+raises InputError beyond it.
 
 Integer arithmetic comes from the one dense kernel in `multipoly` (`_strip`,
 `_add`, `_neg`, `_sub`, `_mul`, `_pow`, `_exact_quotient`): `UniPoly` calls it
@@ -123,7 +123,7 @@ class UniPoly:
         return UniPoly._of(_mul(self.coeffs, other.coeffs, 1))
 
     def scale(self, k: int) -> "UniPoly":
-        if not isinstance(k, int):
+        if type(k) is not int:
             raise InputError(f"integer scale expected, got {k!r}")
         return UniPoly._of([c * k for c in self.coeffs] if k else ())
 
@@ -281,10 +281,6 @@ def gf_monic(f: list[int], q: int) -> list[int]:
         return []
     inv = pow(f[-1], -1, q)
     return _strip([(c * inv) % q for c in f])
-
-
-def gf_derivative(f: list[int], q: int) -> list[int]:
-    return _strip([(i * c) % q for i, c in enumerate(f)][1:])
 
 
 # ---------------------------------------------------------------------------
@@ -477,42 +473,32 @@ def gf_extended_euclid(a: list[int], b: list[int], q: int) -> tuple[list[int], l
     return tuple(slots.to_list(slots.reduce(x * inv)) for x in (r0, s0, t0))
 
 
-def gf_is_squarefree(f: list[int], q: int) -> bool:
-    """Whether f has no repeated factor over GF(q): gcd(f, f') = 1."""
-    slots = _Slots(len(f) - 1, q)
-    return slots.gcd(slots.pack(f), slots.pack(gf_derivative(f, q))) == 1
+def _distinct_degree_steps(slots: _Slots, f: int) -> Iterator[tuple[int, int]]:
+    """(g, d) for d = 1, 2, ... on a packed monic squarefree f: g the packed
+    monic product of the irreducible factors of degree d, 1 where there is
+    none.  Once 2d exceeds the degree m of the cofactor `work` left, work is
+    irreducible, and the last pair is (work, m).  The pairs with g != 1 are
+    the distinct-degree split.
 
-
-def _distinct_degree_steps(f: list[int], q: int) -> Iterator[tuple[list[int], int]]:
-    """(g, d) for d = 1, 2, ... on monic squarefree f: g the monic product of
-    the irreducible factors of degree d, [1] where there is none.  Once 2d
-    exceeds the degree m of the cofactor `work` left, work is irreducible,
-    and the last pair is (work, m).  The pairs with g != [1] are the
-    distinct-degree split.
-
-    Every polynomial stays one packed int of `_Slots` (W-bit slots, reduced
-    mod q by the packed reduction) from x^q through the Frobenius rows and
-    the Euclid steps; lists appear only in the pairs.  h runs through
-    x^(q^d) mod f.  x^q takes squarings alone (`_Ring.x_power`); the other
-    rows x^(iq) mod f of the Frobenius matrix, the matrix of h -> h^q =
-    h(x^q) on GF(q)[x]/(f), are built only when degree 2 is asked for, so a
-    caller that stops after degree 1 pays for x^q alone.  Each later degree
-    is one product of h with the matrix.  h stays reduced mod f, not mod the
-    shrinking cofactor: work divides f, so gcd(h - x, work) is the same.  On
-    a non-squarefree f the pairs mean nothing, but the steps still end.
-    Raises InputError unless deg f * q^2 < 2^63 (the kernel's contract).
+    h runs through x^(q^d) mod f.  x^q takes squarings alone
+    (`_Ring.x_power`); the other rows x^(iq) mod f of the Frobenius matrix,
+    the matrix of h -> h^q = h(x^q) on GF(q)[x]/(f), are built only when
+    degree 2 is asked for, so a caller that stops after degree 1 pays for x^q
+    alone.  Each later degree is one product of h with the matrix.  h stays
+    reduced mod f, not mod the shrinking cofactor: work divides f, so
+    gcd(h - x, work) is the same.  On a non-squarefree f the pairs mean
+    nothing, but the steps still end.
     """
-    n = len(f) - 1
-    slots = _Slots(n, q)
-    work, m, d = slots.pack(f), n, 0
+    n = m = slots.degree(f)
+    work, d = f, 0
     while m > 0:
         d += 1
         if 2 * d > m:
-            yield slots.to_list(work), m
+            yield work, m
             return
         if d == 1:
             ring = _Ring(slots, work)
-            h = ring.x_power(q)
+            h = ring.x_power(slots.q)
         else:
             if d == 2:
                 rows = [1, h]
@@ -523,7 +509,7 @@ def _distinct_degree_steps(f: list[int], q: int) -> Iterator[tuple[list[int], in
         if g != 1:
             work = slots.divmod(work, g)[0]
             m = slots.degree(work)
-        yield slots.to_list(g), d
+        yield g, d
 
 
 def _equal_degree_split(slots: _Slots, f: int, d: int, rng: random.Random) -> list[int]:
@@ -547,50 +533,60 @@ def _equal_degree_split(slots: _Slots, f: int, d: int, rng: random.Random) -> li
         return _equal_degree_split(slots, h, d, rng) + _equal_degree_split(slots, other, d, rng)
 
 
-def gf_factor_squarefree(split: list[tuple[list[int], int]], q: int) -> list[list[int]]:
-    """Sorted monic irreducible factors of a monic squarefree polynomial over
-    GF(q), odd q, from its distinct-degree split (`_good_split`).
-
-    The equal-degree splits draw from `random.Random(q)`; the sorted output
-    does not depend on the draws."""
-    rng = random.Random(q)
-    slots = _Slots(max((len(g) - 1 for g, _ in split), default=0), q)
-    out = [slots.to_list(h) for g, d in split for h in _equal_degree_split(slots, slots.pack(g), d, rng)]
+def gf_factor_squarefree(split: tuple[_Slots, list[tuple[int, int]]]) -> list[list[int]]:
+    """Sorted monic irreducible factors of p mod q, odd q, from its split
+    (`_good_split`), as the lists Hensel lifting starts from.  The equal-degree
+    splits draw from `random.Random(q)`; the sorted output does not depend on
+    the draws."""
+    slots, pairs = split
+    rng = random.Random(slots.q)
+    out = [slots.to_list(h) for g, d in pairs for h in _equal_degree_split(slots, g, d, rng)]
     out.sort()
     return out
 
 
-def _good_split(p: UniPoly, q: int, prefixes: frozenset | None = None) -> list[tuple[list[int], int]] | None:
-    """The distinct-degree split [(g, d)] of p mod q (the pairs of
-    `_distinct_degree_steps` with g != [1]) where q is good: q does not divide
+def _good_split(p: UniPoly, q: int, prefixes: frozenset | None = None) -> tuple[_Slots, list[tuple[int, int]]] | None:
+    """The distinct-degree split (slots, [(g, d)]) of p mod q, the pairs of
+    `_distinct_degree_steps` with g != 1, where q is good: q does not divide
     lc(p) and p mod q is squarefree, so that by Dedekind the degrees are a
     Frobenius cycle type.  Else None, and, given `prefixes`, None as soon as
     the factor counts (c_1, ..., c_d) of degrees 1..d are none of them.
-    Since the prefixes turn most primes down within the first degrees, the
-    squarefree test then waits until the whole sweep is done (a sweep ends on
-    any f); without them it runs first, and saves a bad prime its sweep.
+
+    p mod q is packed once, into slots = `_Slots(deg p, q)`, which holds the
+    pairs too.  The squarefree test is one gcd of the monic f with the
+    derivative of p mod q, a unit times f'.  Since the prefixes turn most
+    primes down within the first degrees, the test then waits until the
+    whole sweep is done (a sweep ends on any f); without them it runs first,
+    and saves a bad prime its sweep.
     """
     if p.leading % q == 0:
         return None
-    f = gf_monic(gf_from_int(p.coeffs, q), q)
+    slots = _Slots(p.degree, q)
+    residues = [c % q for c in p.coeffs]
+    f = slots.monic(slots.pack(residues))
+
+    def squarefree() -> bool:
+        return slots.gcd(f, slots.pack([i * c % q for i, c in enumerate(residues)][1:])) == 1
+
     if prefixes is None:
-        if not gf_is_squarefree(f, q):
+        if not squarefree():
             return None
-        return [(g, d) for g, d in _distinct_degree_steps(f, q) if len(g) > 1]
+        return slots, [(g, d) for g, d in _distinct_degree_steps(slots, f) if g != 1]
     split, counts = [], []
-    for g, d in _distinct_degree_steps(f, q):
+    for g, d in _distinct_degree_steps(slots, f):
         counts += [0] * (d - 1 - len(counts))
-        counts.append((len(g) - 1) // d)
+        counts.append(slots.degree(g) // d)
         if tuple(counts) not in prefixes:
             return None
-        if len(g) > 1:
+        if g != 1:
             split.append((g, d))
-    return split if gf_is_squarefree(f, q) else None
+    return (slots, split) if squarefree() else None
 
 
-def _split_degrees(split: Sequence[tuple[list[int], int]]) -> tuple[int, ...]:
+def _split_degrees(split: tuple[_Slots, list[tuple[int, int]]]) -> tuple[int, ...]:
     """The ascending factor degrees of a distinct-degree split."""
-    return tuple(d for g, d in split for _ in range((len(g) - 1) // d))
+    slots, pairs = split
+    return tuple(d for g, d in pairs for _ in range(slots.degree(g) // d))
 
 
 def degree_multiset_mod(p: UniPoly, q: int) -> tuple[int, ...] | None:
@@ -694,7 +690,7 @@ def _choose_factoring_prime(f: UniPoly) -> tuple[int, list[list[int]]]:
         if len(candidates) == 4 or factors == 1:
             break
     _, q, split = min(candidates, key=lambda c: c[:2])
-    return q, gf_factor_squarefree(split, q)
+    return q, gf_factor_squarefree(split)
 
 
 def factor_squarefree_primitive(f: UniPoly) -> list[UniPoly]:

@@ -434,6 +434,10 @@ def test_str_exponent_is_refused():
 def test_bool_exponent_is_refused():
     with pytest.raises(InputError, match="bad exponent vector"):
         MultiPoly(("x",), {(True,): 1})
+    x = MultiPoly.variable(("x",), "x")
+    for value in (True, False):
+        with pytest.raises(InputError, match="integer power expected"):
+            x**value
 
 
 def test_non_str_variable_names_are_refused():

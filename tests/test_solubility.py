@@ -16,8 +16,8 @@ from rigicert.algebra.solubility import (
     rules_for_degree,
     soluble_cycle_types,
 )
-from rigicert.algebra.systems import eliminate_to_x3, k33_system, square_eliminate_y
-from rigicert.algebra.unipoly import UniPoly, factor_over_q
+from rigicert.algebra.systems import K33_SPECIAL_DISTANCES, eliminate_to_x3, k33_system, square_eliminate_y
+from rigicert.algebra.unipoly import UniPoly, factor_over_q, primes_up_to
 from rigicert.errors import InputError
 
 from oracles import frobenius_cycle_types, rule_prefixes_from_partitions
@@ -118,21 +118,29 @@ def test_certificate_of_a_known_factor_matches_the_public_one():
     the public function gives."""
     items = Path(__file__).parents[1] / "bench" / "inputs" / "seed-1" / "k33" / "items.txt"
     vectors = [line.split()[-1].split(",") for line in items.read_text().splitlines()]
-    certified = 0
+    certified, primes = 0, primes_up_to(10000)
     for distances in vectors:
         elimination = eliminate_to_x3(square_eliminate_y(k33_system(distances)))
         for factor, _ in factor_over_q(elimination.eliminant):
             if factor.degree >= 2:
-                assert _certificate(factor, 10000) == nonsolubility_certificate(factor, 10000)
+                assert _certificate(factor, 10000, primes) == nonsolubility_certificate(factor, 10000)
                 certified += 1
     assert len(vectors) == 49 and certified >= 49
 
 
-def test_certificate_prime_bound_refused_before_factoring():
+def test_certificate_prime_bound_refused_before_factoring(monkeypatch):
+    from rigicert.algebra import solubility
+
     with pytest.raises(InputError, match="exceeds the limit"):
         nonsolubility_certificate(UniPoly([-1, 0, 1]), 10**7)
+
+    def no_factoring(p):
+        raise AssertionError("factored before the prime bound was checked")
+
+    # the bound is checked once, before factoring; `_certificate` trusts its caller
+    monkeypatch.setattr(solubility, "factor_over_q", no_factoring)
     with pytest.raises(InputError, match="exceeds the limit"):
-        _certificate(UniPoly(DEG6_FACTOR), 10**7)
+        nonsolubility_certificate(UniPoly(DEG6_FACTOR), 10**7)
 
 
 def test_soluble_controls_stay_inconclusive():
@@ -242,9 +250,9 @@ def test_refutation_free_degree_scans_no_prime(monkeypatch):
     sweep = unipoly._distinct_degree_steps
     swept = []
 
-    def watched_sweep(f, q):
-        swept.append((len(f) - 1, q))
-        return sweep(f, q)
+    def watched_sweep(slots, f):
+        swept.append((slots.degree(f), slots.q))
+        return sweep(slots, f)
 
     monkeypatch.setattr(unipoly, "_distinct_degree_steps", watched_sweep)
     p = UniPoly([-1, -1, 0, 0, 0, 0, 0, 1])  # x^7 - x - 1, irreducible with group S7
@@ -254,12 +262,57 @@ def test_refutation_free_degree_scans_no_prime(monkeypatch):
     assert cert.rules_checked == (RULE_JORDAN, RULE_BURNSIDE)
     # factoring p sweeps its candidate primes; the sieve after it sweeps none
     swept.clear()
-    assert _certificate(p, 10000) == cert
+    assert _certificate(p, 10000, primes_up_to(10000)) == cert
     assert swept == []
     # the watched sweep is the one a degree with refuting cycle types runs
-    cert = _certificate(UniPoly(DEG6_FACTOR), 10000)
+    cert = _certificate(UniPoly(DEG6_FACTOR), 10000, primes_up_to(10000))
     assert cert.witness[0] == 71 and swept[-1] == (6, 71)
     assert {n for n, _ in swept} == {6}
+
+
+def test_each_reading_of_p_mod_q_builds_one_table(monkeypatch):
+    """One `_Slots` per reading of p mod q: each `_good_split` past the
+    leading-coefficient test packs p mod q into exactly one table, which its
+    squarefree test, its sweep, `_split_degrees` and Cantor-Zassenhaus share,
+    on the published eliminant's factoring and a degree-8 certificate."""
+    from rigicert.algebra import solubility, unipoly
+
+    tables = []
+    init, good_split, factor = unipoly._Slots.__init__, unipoly._good_split, unipoly.gf_factor_squarefree
+
+    def counted_init(self, n, q):
+        tables.append((n, q))
+        init(self, n, q)
+
+    readings = []  # (tables built, q kept past lc(p), prefixes given, q good)
+
+    def watched_good_split(p, q, prefixes=None):
+        before = len(tables)
+        split = good_split(p, q, prefixes)
+        readings.append((len(tables) - before, p.leading % q != 0, prefixes is not None, split is not None))
+        return split
+
+    factorings = []  # tables built by each Cantor-Zassenhaus run
+
+    def watched_factor(split):
+        before = len(tables)
+        out = factor(split)
+        factorings.append(len(tables) - before)
+        return out
+
+    monkeypatch.setattr(unipoly._Slots, "__init__", counted_init)
+    monkeypatch.setattr(unipoly, "_good_split", watched_good_split)
+    monkeypatch.setattr(solubility, "_good_split", watched_good_split)
+    monkeypatch.setattr(unipoly, "gf_factor_squarefree", watched_factor)
+    eliminant = eliminate_to_x3(square_eliminate_y(k33_system(K33_SPECIAL_DISTANCES))).eliminant
+    assert [f.degree for f, _ in factor_over_q(eliminant)] == [1, 6, 8]
+    cert = _certificate(UniPoly(DEG8_FACTOR), 10000, primes_up_to(10000))
+    assert cert.verdict == SolubilityVerdict.NOT_SOLUBLE
+    assert all(built == kept for built, kept, _, _ in readings)
+    assert factorings and set(factorings) == {0}
+    # both orders of the squarefree test ran, on good and bad primes
+    outcomes = {(sieved, good) for _, kept, sieved, good in readings if kept}
+    assert outcomes == {(False, False), (False, True), (True, False), (True, True)}
 
 
 def test_early_stopping_sieve_matches_full_multisets():
@@ -278,7 +331,6 @@ def test_early_stopping_sieve_matches_full_multisets():
         _split_degrees,
         degree_multiset_mod,
         is_irreducible,
-        primes_up_to,
     )
 
     rng = random.Random(263)
@@ -308,7 +360,7 @@ def test_early_stopping_sieve_matches_full_multisets():
                 assert sieved == (multiset if rule else None), (p, q)
                 if rule is not None and first is None:
                     first = (q, multiset, rule)
-            assert _certificate(p, 2000).witness == first
+            assert _certificate(p, 2000, primes_up_to(2000)).witness == first
             if first is not None:
                 witnesses.add((n, first[2]))
     assert {n for n, _ in witnesses} == {6, 8, 14, 16}

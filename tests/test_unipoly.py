@@ -19,7 +19,6 @@ from rigicert.algebra.unipoly import (
     gf_extended_euclid,
     gf_factor_squarefree,
     gf_from_int,
-    gf_is_squarefree,
     gf_monic,
     gf_mul,
     hensel_lift,
@@ -155,7 +154,7 @@ def test_hensel_lift_stops_at_the_least_power_of_p_past_the_target():
         split = _good_split(f, p)
         if split is None:
             continue
-        factors = gf_factor_squarefree(split, p)
+        factors = gf_factor_squarefree(split)
         e = rng.randint(1, 40)  # chains such as 5, 3, 2 and 17, 9, 5, 3, 2
         target = p**e - rng.choice([0, 1, p ** (e - 1) * (p - 1) - 1])
         lifts, modulus = hensel_lift(p, target, list(f.coeffs), factors)
@@ -185,7 +184,7 @@ def test_hensel_lift_matches_the_chain_lifting_s_and_t_at_every_step(monkeypatch
         split = _good_split(f, p)
         if split is None or f.degree < 2:
             continue
-        factors = gf_factor_squarefree(split, p)
+        factors = gf_factor_squarefree(split)
         target = rng.randrange(2, 10 ** rng.randint(2, 60))
         lifted = hensel_lift(p, target, list(f.coeffs), factors)
         with monkeypatch.context() as m:
@@ -294,9 +293,9 @@ def test_choose_factoring_prime_matches_the_first_four_good_primes(monkeypatch):
     calls = []
     gf_factor = unipoly.gf_factor_squarefree
 
-    def counting(split, q):
-        calls.append(q)
-        return gf_factor(split, q)
+    def counting(split):
+        calls.append(split[0].q)
+        return gf_factor(split)
 
     monkeypatch.setattr(unipoly, "gf_factor_squarefree", counting)
     rng = random.Random(271)
@@ -330,14 +329,17 @@ def test_choose_factoring_prime_sweeps_each_candidate_once(monkeypatch):
     # every good odd prime up to the end of the scan is swept once, in
     # ascending order, the winner included: Cantor-Zassenhaus reuses the
     # winner's split instead of sweeping again, and a bad prime is not swept
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_from_int_poly, gf_sqf_p
+
     from rigicert.algebra import unipoly
 
     sweep = unipoly._distinct_degree_steps
     swept = []
 
-    def watched_sweep(f, q):
-        swept.append(q)
-        return sweep(f, q)
+    def watched_sweep(slots, f):
+        swept.append(slots.q)
+        return sweep(slots, f)
 
     monkeypatch.setattr(unipoly, "_distinct_degree_steps", watched_sweep)
     rng = random.Random(283)
@@ -350,7 +352,7 @@ def test_choose_factoring_prime_sweeps_each_candidate_once(monkeypatch):
         q, factors = unipoly._choose_factoring_prime(f)
         assert q in swept
         scanned = [r for r in primes_up_to(swept[-1])[1:] if f.leading % r]
-        good = [r for r in scanned if gf_is_squarefree(gf_from_int(f.coeffs, r), r)]
+        good = [r for r in scanned if gf_sqf_p(gf_from_int_poly(list(reversed(f.coeffs)), r), r, ZZ)]
         assert swept == good
         winners.add((q == swept[-1], len(factors) == 1))
     assert len(winners) >= 2  # winners both at the end of the scan and before it
@@ -364,7 +366,7 @@ def test_gf_factor_squarefree_is_deterministic():
             p = random_poly(rng, max_deg=12, span=q)
             split = _good_split(p, q)
             if p.degree > 1 and split is not None:
-                assert gf_factor_squarefree(split, q) == gf_factor_squarefree(_good_split(p, q), q)
+                assert gf_factor_squarefree(split) == gf_factor_squarefree(_good_split(p, q))
                 checked += 1
     assert checked >= 10
 
@@ -435,7 +437,7 @@ def test_degree_multisets_of_published_factors():
 
 def test_gf_factor_squarefree_products():
     from sympy.polys.domains import ZZ
-    from sympy.polys.galoistools import gf_factor_sqf
+    from sympy.polys.galoistools import gf_factor_sqf, gf_sqf_p
 
     rng = random.Random(233)
     for q in (3, 7, 13, 101):
@@ -447,9 +449,9 @@ def test_gf_factor_squarefree_products():
             fq = gf_monic(fq, q)
             split = _good_split(UniPoly(fq), q)
             if split is None:
-                assert not gf_is_squarefree(fq, q)
+                assert not gf_sqf_p(list(reversed(fq)), q, ZZ)
                 continue
-            factors = gf_factor_squarefree(split, q)
+            factors = gf_factor_squarefree(split)
             prod = [1]
             from rigicert.algebra.unipoly import gf_mul
 
@@ -512,7 +514,9 @@ def test_distinct_degree_steps_against_lists():
         for n in range(21):
             for _ in range(2):
                 f = [rng.randrange(q) for _ in range(n)] + [1]
-                assert list(_distinct_degree_steps(f, q)) == distinct_degree_steps_by_lists(f, q)
+                slots = _Slots(n, q)
+                steps = [(slots.to_list(g), d) for g, d in _distinct_degree_steps(slots, slots.pack(f))]
+                assert steps == distinct_degree_steps_by_lists(f, q)
 
 
 def test_packed_reduction_against_mod():
@@ -594,6 +598,14 @@ def test_gf_divmod_identity():
     assert gf_divmod([4, 0, 3], [2], 5) == ([2, 0, 4], [])
 
 
+def split_lists(split):
+    """A packed split from `_good_split` as (coefficient list, degree) pairs."""
+    if split is None:
+        return None
+    slots, pairs = split
+    return [(slots.to_list(g), d) for g, d in pairs]
+
+
 def test_good_split_against_sympy():
     # the distinct-degree split of a good prime against sympy's, and None
     # exactly where sympy finds the reduction not squarefree or q divides lc
@@ -606,9 +618,9 @@ def test_good_split_against_sympy():
         for n in range(1, 25):
             for _ in range(3):
                 f = [rng.randrange(q) for _ in range(n)] + [1]
-                split = _good_split(UniPoly(f), q)
+                split = split_lists(_good_split(UniPoly(f), q))
                 if not gf_sqf_p(list(reversed(f)), q, ZZ):
-                    assert split is None and not gf_is_squarefree(f, q)
+                    assert split is None
                     continue
                 theirs = gf_ddf_zassenhaus(list(reversed(f)), q, ZZ)
                 assert split == [(list(reversed(g)), d) for g, d in theirs]
@@ -621,7 +633,7 @@ def test_good_split_against_sympy():
         p = UniPoly([rng.randrange(q) for _ in range(6)] + [1])
         lead = rng.randrange(1, q)
         scaled = UniPoly([c * lead + q * rng.randrange(-5, 6) for c in p.coeffs])
-        assert _good_split(scaled, q) == _good_split(p, q)
+        assert split_lists(_good_split(scaled, q)) == split_lists(_good_split(p, q))
 
 
 def test_good_split_modulus_limit():
@@ -658,6 +670,13 @@ def test_unipoly_refuses_bool_coefficients():
     for coeffs in ([True, 0, True], [1, False], (False,)):
         with pytest.raises(InputError, match="integer coefficient expected"):
             UniPoly(coeffs)
+    # nor may a bool stand for an int power or scale
+    p = UniPoly([1, 1])
+    for value in (True, False):
+        with pytest.raises(InputError, match="integer power expected"):
+            p**value
+        with pytest.raises(InputError, match="integer scale expected"):
+            p.scale(value)
     assert UniPoly([1, 0, 1]).coeffs == (1, 0, 1)
 
 
