@@ -18,6 +18,37 @@ lists all of its pairs; a block that the linear path search `_triconnected`
 finds 3-connected is not scanned at all.  Each separation `decompose_unique`
 performs is recorded once, as the `SeparationEvent` that holds the pair, the
 parts' freedoms and whether ab was an edge.
+
+No internal vertex after surgery.  A round replaces R, the maximal MI
+(maximally independent) proper subgraph of the 3-connected Laman graph G
+that `maximal_mi_subgraph` chooses, by a fan on R's attachment vertices,
+giving h.  A set W is tight when it spans exactly 2|W| - 3 edges, and a
+vertex is internal to W when all its neighbours lie in W; in an independent
+graph the MI proper subgraphs of 3 or more vertices are the proper tight
+sets.  When R has no internal vertex, no MI proper subgraph of h has one
+either, so `_reduce_step` runs no MI search on h (a tier-1 test checks the
+claim on every such round of its reductions).  The proof uses the union
+lemma for sparse graphs (Lee & Streinu, "Pebble game algorithms and sparse
+graphs", Discrete Math. 308, 2008): in an independent graph, two tight sets
+A and B sharing at least 2 vertices have a tight union and intersection, and
+no edge joins A - B to B - A.
+
+`maximal_mi_subgraph` prefers a candidate with an internal vertex, so no
+maximal MI proper subgraph of G has one.  Every vertex of R is an attachment
+vertex, so V(h) = V(G), and h differs from G only on pairs inside V(R), where
+the fan and R both have 2|V(R)| - 3 edges.  Suppose some proper tight set W
+of h, |W| >= 3, has an internal vertex v.
+- |W & V(R)| <= 1.  Then h[W] = G[W], so W is tight in G and lies in a
+  maximal MI proper subgraph of G.  If v is outside V(R), its neighbours are
+  the same in G and h, so v is internal to that maximal subgraph: excluded.
+  If v is in V(R), its two fan-cycle neighbours are in V(R) but not in W.
+- |W & V(R)| >= 2.  V(R) is tight in h, so U = W | V(R) is tight in h, and U
+  spans as many edges in G, so it is tight in G.  If U is proper, the
+  maximality of R gives U = V(R): W lies in V(R), and v, with no h-neighbour
+  outside V(R), has no G-neighbour there either, so v is internal to R:
+  excluded.  If U = V, take a in V(R) - W (W is proper): a has a G-neighbour
+  b outside V(R), so b is in W - V(R), and ab, not inside V(R), is an edge of
+  h joining W - V(R) to V(R) - W, which the lemma forbids.
 """
 
 from __future__ import annotations
@@ -43,15 +74,14 @@ from .graph import (
     is_planar,
 )
 from .rigidity import (
+    _contractibility,
     _surgery,
     attachment_vertices,
     fan_edges,
     internal_vertices,
     is_basic,
-    is_contractible,
     is_laman,
     maximal_mi_subgraph,
-    mi_proper_subgraphs,
 )
 
 
@@ -283,19 +313,17 @@ def _reduce_step(g: Graph, r: Graph) -> tuple[list[Graph], list[StepRecord]]:
 
     if not is_laman(h):
         raise InternalInvariantError("surgery produced a graph that is not Laman")
-    # No candidate had an internal vertex, so the surgered graph has none
-    # either; the contraction case split below relies on that, so check it.
-    for w in mi_proper_subgraphs(h):
-        if internal_vertices(h, w):
-            raise InternalInvariantError(f"after surgery: MI subgraph {sorted(w)} has an internal vertex")
-
+    # No MI proper subgraph of h has an internal vertex either, which the
+    # contraction case split below relies on; the module docstring proves it
+    # ("No internal vertex after surgery").
+    contractible = _contractibility(h)
     cycle_edges = sorted(fan_edges(cycle)[: len(cycle)])
     for e in cycle_edges:
-        if not is_contractible(h, e):
+        if not contractible(e):
             raise InternalInvariantError(f"surgery cycle edge {e} is not contractible")
 
     for f in h.sorted_edges():
-        if is_contractible(h, f):
+        if contractible(f):
             contracted = contract_edge(h, f)
             if is_m_connected(contracted, 3):
                 records.append(StepRecord(h, (contracted,), ContractionDetail(f)))

@@ -11,10 +11,12 @@ and a copy of the game is a few list copies.  All operations are pure
 functions over immutable graphs.
 
 A graph's game is played once per graph object, on the first question asked
-of it, and kept on it (`_game`); each MI search or contractibility query
-moves pebbles on one `copy` of it, so the kept game never changes.  The
-census keeps none: a game on each catalog graph it returns would raise its
-peak memory by about a tenth, for questions nobody asks again.
+of it, and kept on it (`_game`); each MI search, each `is_contractible`
+query and each reduction round's contractibility questions together
+(`_contractibility`) move pebbles on one `copy` of it, so the kept game
+never changes.  The census keeps none: a game on each catalog graph it
+returns would raise its peak memory by about a tenth, for questions nobody
+asks again.
 
 A Laman graph on 4 or more vertices with a triangle or a vertex of degree 2
 is not basic, so `is_basic` and the census run the MI search only on graphs
@@ -60,7 +62,7 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .errors import InputError, InternalInvariantError, UnsupportedSizeError
 from .graph import (
@@ -361,12 +363,33 @@ def is_contractible(g: Graph, e: Edge) -> bool:
         raise InputError("contractibility is defined for Laman graphs")
     if e not in g.edges:
         raise InputError(f"edge {e} not in the graph")
+    return _contractible(g, _game(g).copy(), e)
+
+
+def _contractible(g: Graph, game: _PebbleGame, e: Edge) -> bool:
+    """`is_contractible` of the edge e, a sorted pair, of the Laman graph G,
+    asked by moving pebbles on `game`, a copy of G's game."""
     apexes = triangles_through(g, e)
     if len(apexes) != 1:
         return False
-    game = _game(g)
-    i, j = game.index[e[0]], game.index[e[1]]
-    return game.copy()._component(i, j, game.index[apexes[0]]) == 1 << i | 1 << j
+    index = game.index
+    i, j = index[e[0]], index[e[1]]
+    return game._component(i, j, index[apexes[0]]) == 1 << i | 1 << j
+
+
+def _contractibility(g: Graph) -> Callable[[Edge], bool]:
+    """`is_contractible` for the edges, sorted pairs, of the Laman graph G,
+    with the checks left to the caller: every question moves pebbles on one
+    copy of G's game, as an MI search does, and each edge is decided once."""
+    game = _game(g).copy()
+    answers: dict[Edge, bool] = {}
+
+    def contractible(e: Edge) -> bool:
+        if e not in answers:
+            answers[e] = _contractible(g, game, e)
+        return answers[e]
+
+    return contractible
 
 
 def fan_edges(cycle: tuple[int, ...]) -> list[Edge]:

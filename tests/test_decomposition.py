@@ -2,9 +2,11 @@ import inspect
 import itertools
 import random
 import sys
+from pathlib import Path
 
 import pytest
 
+from rigicert import decomposition, rigidity
 from rigicert.decomposition import (
     QSClassification,
     StepKind,
@@ -31,7 +33,7 @@ from rigicert.graph import (
     parse_graph,
     separation_pairs,
 )
-from rigicert.rigidity import is_basic, is_laman, maximal_mi_subgraph, mi_proper_subgraphs
+from rigicert.rigidity import internal_vertices, is_basic, is_laman, maximal_mi_subgraph, mi_proper_subgraphs
 
 from conftest import (
     decompose_relabelled,
@@ -46,6 +48,9 @@ from conftest import (
     triangle,
     triangle_strip,
 )
+from oracles import containment_maximal, mi_subgraphs_exhaustive
+
+REDUCE_LARGE = Path(__file__).parents[1] / "bench" / "inputs" / "seed-1" / "reduce-large"
 
 
 def test_decompose_k4_minus_edge():
@@ -401,6 +406,95 @@ def test_reduction_plays_one_pebble_game_per_graph(pebble_games):
     popped = surgeries + len(trace.terminals)
     assert surgeries >= 2
     assert len(pebble_games) <= popped + surgeries
+
+
+def _replaces_no_internal_vertex(record) -> bool:
+    return record.kind == StepKind.SURGERY and not internal_vertices(
+        record.input_graph, record.detail.replaced.vertices
+    )
+
+
+def test_no_mi_subgraph_of_a_surgered_graph_has_an_internal_vertex(census_by_n):
+    # the theorem in the decomposition docstring, which spares a round an MI
+    # search of its surgered graph h: when the replaced subgraph has no
+    # internal vertex, no MI proper subgraph of h has one.  Checked on every
+    # such round of the reductions of the 3-connected census graphs of 7 and 8
+    # vertices, of the default-seed benchmark's reduce-large graphs and of
+    # Henneberg graphs of up to 160 vertices; an h of at most 10 vertices is
+    # checked on every vertex subset too
+    graphs = [g for n in (7, 8) for g in census_by_n[n].representatives if is_m_connected(g, 3)]
+    graphs += [parse_graph(path.read_text()) for path in sorted(REDUCE_LARGE.glob("r*.txt"))]
+    graphs += [henneberg_ii_from_k33(seed, n) for seed, n in ((1, 20), (1, 40), (2, 60), (2, 80), (2, 160))]
+    rounds = exhaustive = 0
+    for g in graphs:
+        for record in reduce_to_terminal(g).steps:
+            if not _replaces_no_internal_vertex(record):
+                continue
+            (h,) = record.output_graphs
+            maximal = mi_proper_subgraphs(h)
+            assert not any(internal_vertices(h, w) for w in maximal)
+            rounds += 1
+            if h.n <= 10:
+                every = mi_subgraphs_exhaustive(h)
+                assert containment_maximal(every) == maximal
+                assert not any(internal_vertices(h, w) for w in every)
+                exhaustive += 1
+    assert len(graphs) == 27 + 568 + 5
+    assert (rounds, exhaustive) == (1459, 1334)
+
+
+def test_reduction_runs_one_mi_search_per_popped_graph(monkeypatch):
+    # each popped graph (each round pops one, each terminal one) is searched
+    # at most once; a round whose replaced subgraph has no internal vertex
+    # searches no further graph
+    searched: list[Graph] = []
+    search = rigidity._vertex_deleted_components
+
+    def counting_search(g, final):
+        searched.append(g)
+        return search(g, final)
+
+    monkeypatch.setattr(rigidity, "_vertex_deleted_components", counting_search)
+    trace = reduce_to_terminal(henneberg_ii_from_k33(2, 80))
+    surgeries = [record for record in trace.steps if record.kind == StepKind.SURGERY]
+    assert sum(map(_replaces_no_internal_vertex, surgeries)) >= 2
+    assert len(searched) <= len(surgeries) + len(trace.terminals)
+
+
+def test_a_round_asks_each_contractibility_question_once(monkeypatch, census_by_n):
+    # the scan for an edge to contract reuses the answers for the fan's cycle
+    # edges, and a round's questions all move pebbles on one copy of the
+    # surgered graph's game
+    rounds: list[list[tuple[int, Edge]]] = []
+    copies: list[int] = []  # the games copied in each round
+    copied = [0]
+    ask, copy, reduce_round = rigidity._contractible, rigidity._PebbleGame.copy, decomposition._reduce_step
+
+    def counting_ask(g, game, e):
+        rounds[-1].append((id(g), e))
+        return ask(g, game, e)
+
+    def counting_copy(game):
+        copied[0] += 1
+        return copy(game)
+
+    def counting_round(g, r):
+        rounds.append([])
+        before = copied[0]
+        result = reduce_round(g, r)
+        copies.append(copied[0] - before)
+        return result
+
+    monkeypatch.setattr(rigidity, "_contractible", counting_ask)
+    monkeypatch.setattr(rigidity._PebbleGame, "copy", counting_copy)
+    monkeypatch.setattr(decomposition, "_reduce_step", counting_round)
+    graphs = [g for n in (7, 8) for g in census_by_n[n].representatives if is_m_connected(g, 3)]
+    for g in graphs + [henneberg_ii_from_k33(2, 80)]:
+        reduce_to_terminal(g)
+    assert sum(map(bool, rounds)) >= 10
+    for questions, games in zip(rounds, copies):
+        assert len(set(questions)) == len(questions)
+        assert games == (1 if questions else 0)
 
 
 def test_contraction_block_split_instance():
