@@ -28,8 +28,8 @@ is after degree 1 for most primes, since c_1 must be 3 or 5.  Only a prime
 that gets through the whole sweep is tested for a squarefree reduction.  At
 degrees 2, 3, 4, 5 and 7 no cycle type meets any rule, so the certificate
 ends INCONCLUSIVE at once there, without scanning a prime.  Prime bounds
-above MAX_PRIME_BOUND or below 2 are refused with InputError, once per
-request, before anything is factored.
+that are not ints, or lie above MAX_PRIME_BOUND or below 2, are refused with
+InputError, once per request, before anything is factored.
 """
 
 from __future__ import annotations
@@ -268,8 +268,11 @@ def nonsolubility_certificate(p: UniPoly, prime_bound: int = 10000) -> Solubilit
 
 
 def _check_prime_bound(prime_bound: int) -> None:
-    """Refuse a prime bound outside [2, MAX_PRIME_BOUND]; callers check it
-    before any elimination or factoring, which the bound cannot change."""
+    """Refuse a prime bound that is not an int in [2, MAX_PRIME_BOUND];
+    callers check it before any elimination or factoring, which the bound
+    cannot change."""
+    if type(prime_bound) is not int:
+        raise InputError(f"integer prime bound expected, got {prime_bound!r}")
     if prime_bound > MAX_PRIME_BOUND:
         raise InputError(f"prime bound {prime_bound} exceeds the limit {MAX_PRIME_BOUND}")
     if prime_bound < 2:

@@ -17,8 +17,9 @@ Each reading of p mod q (`_good_split`) packs p mod q once, into one
 `_Slots(deg p, q)`: every GF(q) polynomial is one Python int of W-bit slots
 (Kronecker substitution), so sums and products run in C big-int arithmetic.
 It stays packed through the squarefree test (one gcd with the derivative),
-the distinct-degree step, the factor degrees and Cantor-Zassenhaus; lists
-appear only where Hensel lifting mod p^k begins, on `gf_mul` and `gf_divmod`.
+the distinct-degree step, the factor degrees, Cantor-Zassenhaus and, at the
+factoring prime, the products and Bezout cofactors of Hensel lifting's split
+nodes; lists begin at modulus q^2, in `_lift_pair`.
 The distinct-degree step follows von zur Gathen & Shoup: x^q mod f is
 computed once, and each degree then costs one vector-matrix product
 h -> h(x^q) with the Frobenius matrix, whose rows are x^(iq) mod f and are
@@ -34,10 +35,10 @@ raises InputError beyond it.
 Integer arithmetic comes from the one dense kernel in `multipoly` (`_strip`,
 `_add`, `_neg`, `_sub`, `_mul`, `_pow`, `_exact_quotient`): `UniPoly` calls it
 on its coefficient tuples, and gf_add, gf_sub and gf_mul reduce its results
-mod q.  The public `UniPoly` constructor checks that every coefficient is an
-int, not a bool, and strips trailing zeros; arithmetic builds each result
-once, through the unchecked `UniPoly._of`, from the kernel's stripped int
-lists.
+mod the powers q^k of Hensel lifting and recombination.  The public `UniPoly`
+constructor checks that every coefficient is an int, not a bool, and strips
+trailing zeros; arithmetic builds each result once, through the unchecked
+`UniPoly._of`, from the kernel's stripped int lists.
 """
 
 from __future__ import annotations
@@ -236,7 +237,7 @@ def squarefree_decomposition(p: UniPoly) -> list[tuple[UniPoly, int]]:
 
 
 # ---------------------------------------------------------------------------
-# arithmetic in GF(p)[x]: plain ascending int lists, coefficients in [0, p)
+# arithmetic mod q, a prime or a prime power, on plain ascending int lists
 
 
 def gf_from_int(p_coeffs: Sequence[int], q: int) -> list[int]:
@@ -353,14 +354,11 @@ class _Slots:
         """The degree of a reduced x, -1 for zero."""
         return (x.bit_length() - 1) // self.width
 
-    def lead(self, x: int) -> int:
-        return x >> (self.degree(x) * self.width)
-
     def sub(self, a: int, b: int) -> int:
         return self.reduce(a + self.qs - b)
 
     def monic(self, x: int) -> int:
-        return self.reduce(x * pow(self.lead(x), -1, self.q)) if x else 0
+        return self.reduce(x * pow(x >> (self.degree(x) * self.width), -1, self.q)) if x else 0
 
     def divmod(self, a: int, b: int) -> tuple[int, int]:
         """(quotient, remainder) of reduced a by reduced b != 0, the one
@@ -386,6 +384,20 @@ class _Slots:
             da -= 1
             shift -= width
         return quo, self.reduce(a)
+
+    def bezout(self, a: int, b: int) -> tuple[int, int]:
+        """(s, t) with s*a + t*b = 1 for reduced coprime a and b: extended
+        Euclid on `divmod`; InternalInvariantError where they are not coprime."""
+        s0, s1, t0, t1 = 1, 0, 0, 1
+        while b:
+            quo, rem = self.divmod(a, b)
+            a, b = b, rem
+            s0, s1 = s1, self.sub(s0, self.reduce(quo * s1))
+            t0, t1 = t1, self.sub(t0, self.reduce(quo * t1))
+        if self.degree(a) != 0:
+            raise InternalInvariantError("Bezout cofactors asked of polynomials that are not coprime")
+        inv = pow(a, -1, self.q)
+        return self.reduce(s0 * inv), self.reduce(t0 * inv)
 
     def gcd(self, a: int, b: int) -> int:
         """The monic gcd of reduced a and b (zero for two zeros): Euclid with
@@ -457,22 +469,6 @@ class _Ring:
         return r
 
 
-def gf_extended_euclid(a: list[int], b: list[int], q: int) -> tuple[list[int], list[int], list[int]]:
-    """(g, s, t) with s*a + t*b = g = monic gcd, q prime, on packed slots."""
-    slots = _Slots(max(len(a), len(b)) - 1, q)
-    r0, r1 = slots.pack(a), slots.pack(b)
-    s0, s1, t0, t1 = 1, 0, 0, 1
-    while r1:
-        quo, rem = slots.divmod(r0, r1)
-        r0, r1 = r1, rem
-        s0, s1 = s1, slots.sub(s0, slots.reduce(quo * s1))
-        t0, t1 = t1, slots.sub(t0, slots.reduce(quo * t1))
-    if not r0:
-        raise InputError("extended euclid of two zero polynomials")
-    inv = pow(slots.lead(r0), -1, q)
-    return tuple(slots.to_list(slots.reduce(x * inv)) for x in (r0, s0, t0))
-
-
 def _distinct_degree_steps(slots: _Slots, f: int) -> Iterator[tuple[int, int]]:
     """(g, d) for d = 1, 2, ... on a packed monic squarefree f: g the packed
     monic product of the irreducible factors of degree d, 1 where there is
@@ -533,16 +529,13 @@ def _equal_degree_split(slots: _Slots, f: int, d: int, rng: random.Random) -> li
         return _equal_degree_split(slots, h, d, rng) + _equal_degree_split(slots, other, d, rng)
 
 
-def gf_factor_squarefree(split: tuple[_Slots, list[tuple[int, int]]]) -> list[list[int]]:
-    """Sorted monic irreducible factors of p mod q, odd q, from its split
-    (`_good_split`), as the lists Hensel lifting starts from.  The equal-degree
-    splits draw from `random.Random(q)`; the sorted output does not depend on
-    the draws."""
+def gf_factor_squarefree(split: tuple[_Slots, list[tuple[int, int]]]) -> list[int]:
+    """The packed monic irreducible factors of p mod q, odd q, in ascending
+    degree, in the table of its split (`_good_split`).  The equal-degree
+    splits draw from `random.Random(q)`, so the order is the same every run."""
     slots, pairs = split
     rng = random.Random(slots.q)
-    out = [slots.to_list(h) for g, d in pairs for h in _equal_degree_split(slots, g, d, rng)]
-    out.sort()
-    return out
+    return [h for g, d in pairs for h in _equal_degree_split(slots, g, d, rng)]
 
 
 def _good_split(p: UniPoly, q: int, prefixes: frozenset | None = None) -> tuple[_Slots, list[tuple[int, int]]] | None:
@@ -593,8 +586,11 @@ def degree_multiset_mod(p: UniPoly, q: int) -> tuple[int, ...] | None:
     """Sorted degrees of the irreducible factors of p mod q, or None where
     p mod q is not squarefree (`_good_split`).
 
-    Requires q not dividing the leading coefficient.
+    Requires q prime, below 2^32 like every residue the kernel packs (which
+    bounds the trial division), and not dividing the leading coefficient.
     """
+    if type(q) is not int or q >= 1 << 32 or not is_prime(q):
+        raise InputError(f"prime modulus below 2^32 expected, got {q!r}")
     if p.leading % q == 0:
         raise InputError(f"{q} divides the leading coefficient")
     split = _good_split(p, q)
@@ -626,41 +622,41 @@ def _lift_pair(moduli: list[int], f, g, h, s, t):
     return g, h
 
 
-def hensel_lift(p: int, target: int, f: list[int], factors: list[list[int]]) -> tuple[list[list[int]], int]:
-    """Lift f = lc(f) * prod(factors) from mod p to mod M >= target.
+def hensel_lift(slots: _Slots, target: int, f: list[int], factors: list[int]) -> tuple[list[list[int]], int]:
+    """Lift f = lc(f) * prod(factors) from mod q = slots.q to mod M >= target:
+    the monic lifts, as lists in the factors' order, and M = the least q**e
+    >= target.  The factors are packed in `slots`, monic and pairwise coprime.
+    The lift climbs the exponent chain ceil(e / 2**k), so each step's modulus
+    divides the square of the one before and the last stops at q**e, where
+    squaring the modulus every step could overshoot the target by its square.
 
-    The factors are monic and pairwise coprime mod p; returns monic lifts and
-    the modulus M actually reached, the least power p**e >= target.  The lift
-    climbs the exponent chain ceil(e / 2**k), so each step's modulus divides
-    the square of the one before and the last stops at p**e, where squaring
-    the modulus every step could overshoot the target by up to its square.
-
-    `recurse` halves the factor list, so its depth is ceil(log2 r) for r
-    modular factors, and r <= deg f: no input comes near Python's recursion
-    limit."""
-    e, modulus = 1, p
+    `recurse` splits the factors where their degrees come closest to halves:
+    given them in ascending degree (`gf_factor_squarefree`), a part of two or
+    more has at most 2/3 of its node's degree, so the depth is O(log deg f).
+    A node forms lc * the left product, the right product and their Bezout
+    cofactors in `slots` (degrees at most deg f) and unpacks those four."""
+    q = slots.q
+    e, modulus = 1, q
     while modulus < target:
-        e, modulus = e + 1, modulus * p
+        e, modulus = e + 1, modulus * q
     exponents = []
     while e > 1:
         exponents.append(e)
         e = (e + 1) // 2
-    moduli = [p**k for k in reversed(exponents)]
+    moduli = [q**k for k in reversed(exponents)]
 
-    def recurse(f: list[int], facs: list[list[int]]) -> list[list[int]]:
+    def recurse(f: list[int], facs: list[int]) -> list[list[int]]:
         if len(facs) == 1:
             return [gf_monic(f, modulus)]
-        half = len(facs) // 2
-        g0 = [f[-1] % p]
+        ends = list(itertools.accumulate(map(slots.degree, facs)))
+        half = min(range(1, len(facs)), key=lambda i: abs(2 * ends[i - 1] - ends[-1]))
+        g0, h0 = f[-1] % q, 1
         for fac in facs[:half]:
-            g0 = gf_mul(g0, fac, p)
-        h0 = [1]
+            g0 = slots.reduce(g0 * fac)
         for fac in facs[half:]:
-            h0 = gf_mul(h0, fac, p)
-        one, s, t = gf_extended_euclid(g0, h0, p)
-        if one != [1]:
-            raise InternalInvariantError("factor halves are not coprime mod p")
-        g, h = _lift_pair(moduli, gf_from_int(f, modulus), g0, h0, s, t)
+            h0 = slots.reduce(h0 * fac)
+        s, t = slots.bezout(g0, h0)
+        g, h = _lift_pair(moduli, f, *map(slots.to_list, (g0, h0, s, t)))
         return recurse(g, facs[:half]) + recurse(h, facs[half:])
 
     return recurse(gf_from_int(f, modulus), factors), modulus
@@ -671,8 +667,9 @@ def _mignotte_bound(f: UniPoly) -> int:
     return (1 << f.degree) * norm * abs(f.leading)
 
 
-def _choose_factoring_prime(f: UniPoly) -> tuple[int, list[list[int]]]:
-    """The prime to factor f at, with the monic factors of f mod that prime.
+def _choose_factoring_prime(f: UniPoly) -> tuple[_Slots, list[int]]:
+    """The table of the prime to factor f at, with the packed monic factors
+    of f mod that prime in it.
 
     The candidates are the good odd primes (`_good_split`), in ascending
     order.  Among the first four, the one with the fewest factors in its
@@ -689,17 +686,17 @@ def _choose_factoring_prime(f: UniPoly) -> tuple[int, list[list[int]]]:
         candidates.append((factors, q, split))
         if len(candidates) == 4 or factors == 1:
             break
-    _, q, split = min(candidates, key=lambda c: c[:2])
-    return q, gf_factor_squarefree(split)
+    split = min(candidates, key=lambda c: c[:2])[2]
+    return split[0], gf_factor_squarefree(split)
 
 
 def factor_squarefree_primitive(f: UniPoly) -> list[UniPoly]:
     """Irreducible factors of a primitive squarefree polynomial with positive lc."""
-    q, modular = _choose_factoring_prime(f)
+    slots, modular = _choose_factoring_prime(f)
     if len(modular) == 1:
         return [f]
     bound = 2 * _mignotte_bound(f) + 1
-    lifted, modulus = hensel_lift(q, bound, list(f.coeffs), modular)
+    lifted, modulus = hensel_lift(slots, bound, list(f.coeffs), modular)
     remaining = list(range(len(lifted)))
     current = f
     out: list[UniPoly] = []
@@ -755,6 +752,8 @@ def is_prime(n: int) -> bool:
 
 
 def primes_up_to(bound: int) -> list[int]:
+    if type(bound) is not int:
+        raise InputError(f"integer bound expected, got {bound!r}")
     if bound < 2:
         return []
     sieve = bytearray([1]) * (bound + 1)

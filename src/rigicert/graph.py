@@ -63,23 +63,28 @@ class Graph:
 
     def __init__(self, vertices: Iterable[int] = (), edges: Iterable[Edge] = ()):
         vs = frozenset(vertices)
-        es = frozenset(edge(u, v) for u, v in edges)
-        for u, v in es:
-            if u not in vs or v not in vs:
-                raise InputError(f"edge ({u},{v}) has an endpoint outside the vertex set")
+        try:
+            es = frozenset(edge(u, v) for u, v in edges)
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"an edge is not a pair of vertex labels: {exc}") from None
+        nbrs: dict[int, set[int]] = {}
         for v in vs:
+            if type(v) is not int:
+                raise InputError(f"integer vertex label expected, got {v!r}")
             if v < 0:
                 raise InputError(f"vertex label {v} is negative")
+            nbrs[v] = set()
+        try:
+            for u, v in es:
+                if type(u) is not int or type(v) is not int:  # 1.0 and True equal the label 1
+                    raise InputError(f"edge ({u!r}, {v!r}) has an endpoint that is not an int")
+                nbrs[u].add(v)
+                nbrs[v].add(u)
+        except KeyError:
+            raise InputError(f"edge ({u},{v}) has an endpoint outside the vertex set") from None
         object.__setattr__(self, "vertices", vs)
         object.__setattr__(self, "edges", es)
-        adj: dict[int, frozenset[int]] = {}
-        nbrs: dict[int, set[int]] = {v: set() for v in vs}
-        for u, v in es:
-            nbrs[u].add(v)
-            nbrs[v].add(u)
-        for v in vs:
-            adj[v] = frozenset(nbrs[v])
-        object.__setattr__(self, "_adj", adj)
+        object.__setattr__(self, "_adj", {v: frozenset(ns) for v, ns in nbrs.items()})
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")

@@ -519,6 +519,8 @@ def enumerate_laman(n: int) -> CensusResult:
     class's representative, is the one plain closure would keep.
     """
     lo, hi = _CENSUS_RANGE
+    if type(n) is not int:
+        raise InputError(f"integer vertex count expected, got {n!r}")
     if not lo <= n <= hi:
         raise UnsupportedSizeError(f"census supports {lo} <= n <= {hi}")
     triangle = Graph({0, 1, 2}, [(0, 1), (0, 2), (1, 2)])

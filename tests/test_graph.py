@@ -159,6 +159,29 @@ def test_is_m_connected_refuses_an_m_that_is_not_an_int():
     assert not is_m_connected(path, 2) and is_m_connected(path, 1)
 
 
+@pytest.mark.parametrize(
+    "vertices, edges, message",
+    [
+        ([1.5, 2], [(1.5, 2)], "^integer vertex label expected, got 1.5$"),
+        ([True, 2], [(True, 2)], "^integer vertex label expected, got True$"),
+        (["a"], [], "^integer vertex label expected, got 'a'$"),
+        ([0, 1, 2], [(0, 1, 2)], "^an edge is not a pair of vertex labels"),
+        ([0, 1], [0], "^an edge is not a pair of vertex labels"),
+        ([1, 2], [(1.0, 2)], "^edge \\(1.0, 2\\) has an endpoint that is not an int$"),
+        ([1, 3], [(True, 3)], "^edge \\(True, 3\\) has an endpoint that is not an int$"),
+        ([0, 1], [(0, 1), (1, 5)], "^edge \\(1,5\\) has an endpoint outside the vertex set$"),
+        ([-1, 0], [(-1, 0)], "^vertex label -1 is negative$"),
+    ],
+)
+def test_graph_refuses_malformed_labels_and_edges(vertices, edges, message):
+    # the float and the bool were accepted, "a" raised TypeError and the
+    # triple ValueError; an endpoint 1.0 or True, equal to the label 1, was
+    # kept in the edge and printed as "e 1.0 2".  The last two were refused
+    # before too; the endpoint check now runs in the adjacency pass
+    with pytest.raises(InputError, match=message):
+        Graph(vertices, edges)
+
+
 def wheel(n: int) -> Graph:
     """Hub 0 joined to the cycle 1..n-1."""
     return Graph(range(n), [(0, v) for v in range(1, n)] + [(v, v % (n - 1) + 1) for v in range(1, n)])

@@ -450,6 +450,13 @@ def test_enumerate_laman_counts_small():
         assert set(enumerate_laman(n).laman_canonical_forms) == enumerate_laman_exhaustive(n)
 
 
+@pytest.mark.parametrize("n", [4.0, "4"])
+def test_enumerate_laman_refuses_a_vertex_count_that_is_not_an_int(n):
+    # both raised TypeError
+    with pytest.raises(InputError, match="^integer vertex count expected, got "):
+        enumerate_laman(n)
+
+
 def test_enumerate_laman_contains_k33():
     forms = enumerate_laman(6).laman_canonical_forms
     assert canonical_form(k33()) in forms

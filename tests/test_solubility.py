@@ -112,6 +112,20 @@ def test_certificate_prime_bound_limit():
             nonsolubility_certificate(p, bound)
 
 
+@pytest.mark.parametrize("bound", [100.5, True])
+def test_certificate_refuses_a_prime_bound_that_is_not_an_int(bound, monkeypatch):
+    # 100.5 raised TypeError from the sieve, and True was "below 2"; the
+    # bound is refused before anything is factored
+    from rigicert.algebra import solubility
+
+    def refuse(p):
+        raise AssertionError("factored before the bound was checked")
+
+    monkeypatch.setattr(solubility, "factor_over_q", refuse)
+    with pytest.raises(InputError, match="^integer prime bound expected, got "):
+        nonsolubility_certificate(UniPoly(DEG6_FACTOR), bound)
+
+
 def test_certificate_of_a_known_factor_matches_the_public_one():
     """`k33` certifies each factor from `factor_over_q` without factoring it
     again; on every default-seed benchmark vector that gives the certificate
@@ -309,6 +323,7 @@ def test_each_reading_of_p_mod_q_builds_one_table(monkeypatch):
     cert = _certificate(UniPoly(DEG8_FACTOR), 10000, primes_up_to(10000))
     assert cert.verdict == SolubilityVerdict.NOT_SOLUBLE
     assert all(built == kept for built, kept, _, _ in readings)
+    assert len(tables) == sum(kept for _, kept, _, _ in readings)  # the lift builds none
     assert factorings and set(factorings) == {0}
     # both orders of the squarefree test ran, on good and bad primes
     outcomes = {(sieved, good) for _, kept, sieved, good in readings if kept}

@@ -16,7 +16,6 @@ from rigicert.algebra.unipoly import (
     factor_over_q,
     gf_add,
     gf_divmod,
-    gf_extended_euclid,
     gf_factor_squarefree,
     gf_from_int,
     gf_monic,
@@ -28,7 +27,7 @@ from rigicert.algebra.unipoly import (
     primes_up_to,
     squarefree_decomposition,
 )
-from rigicert.errors import InputError
+from rigicert.errors import InputError, InternalInvariantError
 
 from oracles import distinct_degree_steps_by_lists, gf_gcd_by_lists, gf_pow_mod, lift_pair_every_step, poly_gcd_prs
 
@@ -154,12 +153,12 @@ def test_hensel_lift_stops_at_the_least_power_of_p_past_the_target():
         split = _good_split(f, p)
         if split is None:
             continue
-        factors = gf_factor_squarefree(split)
+        slots, factors = split[0], gf_factor_squarefree(split)
         e = rng.randint(1, 40)  # chains such as 5, 3, 2 and 17, 9, 5, 3, 2
         target = p**e - rng.choice([0, 1, p ** (e - 1) * (p - 1) - 1])
-        lifts, modulus = hensel_lift(p, target, list(f.coeffs), factors)
+        lifts, modulus = hensel_lift(slots, target, list(f.coeffs), factors)
         assert modulus == p**e and (e == 1 or p ** (e - 1) < target)
-        assert [gf_from_int(g, p) for g in lifts] == factors
+        assert [slots.pack(gf_from_int(g, p)) for g in lifts] == factors
         assert all(g[-1] == 1 and all(0 <= c < modulus for c in g) for g in lifts)
         product = [f.leading % modulus]
         for g in lifts:
@@ -186,12 +185,100 @@ def test_hensel_lift_matches_the_chain_lifting_s_and_t_at_every_step(monkeypatch
             continue
         factors = gf_factor_squarefree(split)
         target = rng.randrange(2, 10 ** rng.randint(2, 60))
-        lifted = hensel_lift(p, target, list(f.coeffs), factors)
+        lifted = hensel_lift(split[0], target, list(f.coeffs), factors)
         with monkeypatch.context() as m:
             m.setattr(unipoly, "_lift_pair", lift_pair_every_step)
-            assert hensel_lift(p, target, list(f.coeffs), factors) == lifted
+            assert hensel_lift(split[0], target, list(f.coeffs), factors) == lifted
         checked += len(factors) > 1
     assert checked == 40
+
+
+def test_hensel_lift_does_not_depend_on_the_factor_order():
+    # monic lifts of a coprime factorization mod p are unique, so every order
+    # of the factors, and with it every shape of the split tree, lifts each
+    # factor to the same polynomial
+    rng = random.Random(347)
+    checked = 0
+    while checked < 30:
+        f = random_poly(rng, max_deg=3, span=30)
+        for _ in range(rng.randint(2, 4)):
+            f = f * random_poly(rng, max_deg=3, span=30)
+        p = rng.choice([3, 5, 7, 11, 13])
+        split = _good_split(f, p)
+        if split is None:
+            continue
+        factors = gf_factor_squarefree(split)
+        if len(factors) < 3:
+            continue
+        target = rng.randrange(2, 10 ** rng.randint(2, 40))
+        lifts, modulus = hensel_lift(split[0], target, list(f.coeffs), factors)
+        expected = dict(zip(factors, lifts))
+        for _ in range(4):
+            order = rng.sample(factors, len(factors))
+            shuffled, again = hensel_lift(split[0], target, list(f.coeffs), order)
+            assert again == modulus and shuffled == [expected[h] for h in order]
+        checked += 1
+
+
+def test_hensel_lift_splits_where_the_degrees_halve(monkeypatch):
+    # on factors in ascending degree, as gf_factor_squarefree gives them, a
+    # part of two or more factors has at most 2/3 of the degree of the node
+    # it came from, so the lift's depth is logarithmic in deg f; halving the
+    # count instead gives degrees such as 1, 1, 2, 3, 6, 7 the parts 4 and 16
+    from rigicert.algebra import unipoly
+
+    lift = unipoly._lift_pair
+    parents = {}  # id of a lifted part -> (the part, degree of its node)
+    checked = []
+
+    def watched(moduli, f, g, h, s, t):
+        if id(f) in parents:
+            assert 3 * (len(f) - 1) <= 2 * parents[id(f)][1]
+            checked.append(f)
+        g, h = lift(moduli, f, g, h, s, t)
+        parents.update({id(g): (g, len(f) - 1), id(h): (h, len(f) - 1)})
+        return g, h
+
+    monkeypatch.setattr(unipoly, "_lift_pair", watched)
+    rng = random.Random(353)
+    for _ in range(100):
+        f = UniPoly([1])
+        for _ in range(rng.randint(3, 6)):
+            f = f * random_poly(rng, max_deg=rng.choice([1, 2, 4, 8]), span=20)
+        split = _good_split(f, rng.choice([5, 7, 11, 13]))
+        if split is None:
+            continue
+        factors = gf_factor_squarefree(split)
+        assert [split[0].degree(h) for h in factors] == sorted(split[0].degree(h) for h in factors)
+        parents.clear()
+        hensel_lift(split[0], 10**30, list(f.coeffs), factors)
+    assert len(checked) > 40
+
+
+def test_factoring_builds_one_table_per_reading(monkeypatch):
+    # prod (x - i), i = 1..20: the 7 bad primes 3..19 and the 4 good ones
+    # 23..37 are read, once each; the chosen prime's table also serves the
+    # 20 Cantor-Zassenhaus factors and the lift's 19 split nodes
+    from rigicert.algebra import unipoly
+
+    tables, readings = [], []
+    init, good_split = _Slots.__init__, unipoly._good_split
+
+    def counted_init(self, n, q):
+        tables.append(q)
+        init(self, n, q)
+
+    def watched_good_split(p, q, prefixes=None):
+        readings.append(q)
+        return good_split(p, q, prefixes)
+
+    monkeypatch.setattr(_Slots, "__init__", counted_init)
+    monkeypatch.setattr(unipoly, "_good_split", watched_good_split)
+    f = UniPoly([1])
+    for i in range(1, 21):
+        f = f * UniPoly([-i, 1])
+    assert factor_over_q(f) == [(UniPoly([-i, 1]), 1) for i in range(20, 0, -1)]
+    assert tables == readings == [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
 
 
 def test_factor_examples():
@@ -319,7 +406,8 @@ def test_choose_factoring_prime_matches_the_first_four_good_primes(monkeypatch):
                 break
         expected = min(good, key=lambda qf: len(qf[1]))
         calls.clear()
-        assert unipoly._choose_factoring_prime(f) == expected
+        slots, factors = unipoly._choose_factoring_prime(f)
+        assert (slots.q, sorted(map(slots.to_list, factors))) == expected
         assert calls == [expected[0]]
         one_factor.append(len(expected[1]) == 1)
     assert any(one_factor) and not all(one_factor)  # both exits of the scan ran
@@ -349,7 +437,8 @@ def test_choose_factoring_prime_sweeps_each_candidate_once(monkeypatch):
         if f.degree < 2 or not to_sympy(f).is_sqf:
             continue
         swept.clear()
-        q, factors = unipoly._choose_factoring_prime(f)
+        slots, factors = unipoly._choose_factoring_prime(f)
+        q = slots.q
         assert q in swept
         scanned = [r for r in primes_up_to(swept[-1])[1:] if f.leading % r]
         good = [r for r in scanned if gf_sqf_p(gf_from_int_poly(list(reversed(f.coeffs)), r), r, ZZ)]
@@ -398,6 +487,23 @@ def test_degree_multiset_mod():
     assert degree_multiset_mod(UniPoly([3]), 5) == ()
     with pytest.raises(InputError):
         degree_multiset_mod(UniPoly(), 5)
+
+
+@pytest.mark.parametrize("q", [4, 9, 0, -3, 2.0, True])
+def test_degree_multiset_mod_refuses_a_modulus_that_is_not_a_prime_int(q):
+    # these raised ValueError, ValueError, ZeroDivisionError, OverflowError
+    # and AttributeError, and True was read as the modulus 1
+    with pytest.raises(InputError, match="^prime modulus below 2\\^32 expected, got "):
+        degree_multiset_mod(UniPoly([1, 3, 0, 1]), q)
+
+
+def test_degree_multiset_mod_refuses_a_huge_modulus_before_trial_division():
+    # a prime test of 10^30 + 57 by trial division would not end; every
+    # residue the kernel packs is below 2^32, even for a constant p
+    for p in (UniPoly([1, 3, 0, 1]), UniPoly([3])):
+        with pytest.raises(InputError, match="^prime modulus below 2\\^32 expected"):
+            degree_multiset_mod(p, 10**30 + 57)
+    assert degree_multiset_mod(UniPoly([3]), 2**32 - 5) == ()
 
 
 def test_degree_multiset_against_sympy():
@@ -451,10 +557,8 @@ def test_gf_factor_squarefree_products():
             if split is None:
                 assert not gf_sqf_p(list(reversed(fq)), q, ZZ)
                 continue
-            factors = gf_factor_squarefree(split)
+            factors = sorted(map(split[0].to_list, gf_factor_squarefree(split)))
             prod = [1]
-            from rigicert.algebra.unipoly import gf_mul
-
             for f in factors:
                 prod = gf_mul(prod, f, q)
             assert prod == fq
@@ -542,8 +646,8 @@ def test_packed_reduction_against_mod():
 
 def test_packed_euclid_against_lists():
     # the one GF(q) Euclid on packed slots against long division and
-    # Euclid on coefficient lists: quotient and remainder, the monic gcd
-    # and the extended gcd, with zero and constant operands among them
+    # Euclid on coefficient lists: quotient and remainder and the monic gcd,
+    # with zero and constant operands among them
     rng = random.Random(331)
 
     def draw(q: int, degree: int) -> list[int]:
@@ -567,14 +671,35 @@ def test_packed_euclid_against_lists():
                 else:
                     with pytest.raises(InputError, match="gf division by zero"):
                         slots.divmod(pa, pb)
-                g = gf_gcd_by_lists(a, b, q)
-                assert slots.to_list(slots.gcd(pa, pb)) == g
-                if not (a or b):
-                    with pytest.raises(InputError):
-                        gf_extended_euclid(a, b, q)
+                assert slots.to_list(slots.gcd(pa, pb)) == gf_gcd_by_lists(a, b, q)
+
+
+def test_packed_bezout_against_lists():
+    # s*a + t*b = 1 with deg s < deg b and deg t < deg a, checked on
+    # coefficient lists, for random coprime pairs in one table of degree n,
+    # the degrees of a and b summing to n as at a lift's split node;
+    # a pair with a common factor, or two zeros, is refused
+    rng = random.Random(349)
+    for q in KERNEL_PRIMES:
+        for n in range(1, 21):
+            slots = _Slots(n, q)
+            coprime = 0
+            while coprime < 6:
+                da = rng.randint(0, n)
+                a = gf_from_int([rng.randrange(q) for _ in range(da)] + [rng.randrange(1, q)], q)
+                b = gf_from_int([rng.randrange(q) for _ in range(n - da)] + [rng.randrange(1, q)], q)
+                pa, pb = slots.pack(a), slots.pack(b)
+                if gf_gcd_by_lists(a, b, q) != [1]:
+                    with pytest.raises(InternalInvariantError, match="not coprime"):
+                        slots.bezout(pa, pb)
                     continue
-                g2, s, t = gf_extended_euclid(a, b, q)
-                assert g2 == g and gf_add(gf_mul(s, a, q), gf_mul(t, b, q), q) == g
+                s, t = map(slots.to_list, slots.bezout(pa, pb))
+                assert gf_add(gf_mul(s, a, q), gf_mul(t, b, q), q) == [1]
+                if len(a) + len(b) > 2:  # two constants have t = 1/b
+                    assert len(s) < len(b) and len(t) < len(a)
+                coprime += 1
+            with pytest.raises(InternalInvariantError, match="not coprime"):
+                slots.bezout(0, 0)
 
 
 def test_gf_divmod_identity():
@@ -653,6 +778,13 @@ def test_primes_up_to():
     assert primes_up_to(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert primes_up_to(1) == []
     assert [q for q in range(-2, 1000) if is_prime(q)] == primes_up_to(999)
+
+
+@pytest.mark.parametrize("bound", [100.5, True])
+def test_primes_up_to_refuses_a_bound_that_is_not_an_int(bound):
+    # 100.5 raised TypeError from the sieve, and True was read as 1
+    with pytest.raises(InputError, match="^integer bound expected, got "):
+        primes_up_to(bound)
 
 
 def test_unipoly_power_refuses_negative_and_non_int_exponents():
